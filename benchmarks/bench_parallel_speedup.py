@@ -1,98 +1,56 @@
-"""BENCH-PARALLEL -- serial vs parallel wall-clock on a fixed workload.
+"""BENCH-PARALLEL -- execution-path wall-clock on fixed workloads.
 
-Not a paper figure: the performance-trajectory tracker for the parallel
-runtime.  Runs one fixed, deterministic workload -- a uniform
-phase-offset sweep of the synthesized symmetric eta=0.02 pair -- through
-the serial :func:`repro.simulation.analytic.sweep_offsets` and through
-:class:`repro.parallel.ParallelSweep`, asserts the reports are
-bit-identical, and writes ``results/BENCH_parallel.json`` so successive
-PRs can be compared::
+Not a paper figure: the performance-trajectory tracker for the runtime.
+Runs one fixed, deterministic workload -- a uniform phase-offset sweep
+of the synthesized symmetric eta=0.02 pair -- through every execution
+path the runtime has, asserts they are bit-identical, and records the
+timings in ``results/BENCH_parallel.json`` so successive changes can be
+compared::
 
-    python benchmarks/bench_parallel_speedup.py --jobs 4
+    python benchmarks/bench_parallel_speedup.py --jobs 2
 
-Since PR 2 the JSON also breaks the trajectory into *phases* -- pattern
-build (cold vs registry-warm), the offset sweep itself, and the DES
-spot-check replays of ``verified_worst_case`` -- so the series shows
-where each PR's speedup comes from.  The acceptance gate is >= 3x on
-the fixed sweep at 4 workers (>= 2x at PR 1); on single-core machines
-that margin comes from the memoized listening-set pattern plus the
-keyed registry and shared-memory segments that stop workers rebuilding
-it, not from core count.
+The script owns its sections of the JSON and read-modify-writes the
+file: sections written by other scripts (``service``, from
+``bench_service_load.py``) survive a rerun.
 
-Since PR 3 the payload additionally distinguishes *kernel* from *pool*
-speedups: a single-worker backend shoot-out (``python`` reference vs
-the vectorized ``numpy`` kernel vs the persistent ``pooled`` pool,
-cold and warm) with a hard bit-identity assert between ``numpy`` and
-``python`` on the fixed POINT-model sweep -- bit-identity is the exit
-gate; the kernel speedup itself is *recorded* (the PR-3 acceptance
-evidence, >= 3x on the reference machine) rather than asserted, since
-shared CI runners make wall-clock ratios unreliable -- plus top-level
-``backend``/``numpy_version`` provenance fields and measured
-per-scenario grid wall-clock (with the two event-rate cost components)
-that :func:`repro.parallel.fit_cost_weights` regresses into calibrated
-``Scenario.cost_hint`` weights.
+**Headline.** ``speedup`` is the best measured configuration against
+the in-process ``numpy`` kernel -- the fastest thing a user gets with no
+pool at all -- so a value of 1.0 means no configuration beats it.  The
+uncached pure-python loop is kept as the labelled ``reference`` row,
+never as the denominator.
 
-Since PR 5 two more phases cover the worst-case pipeline setup:
+Phases:
 
-* **critical-offset enumeration** on a large-zoo pair (Disco 101x103 at
-  slot 1000: ~330k beacon x bound cells per direction, a ~156k-offset
-  critical set), python reference vs the vectorized kernel, with
-  **bit-identity as a hard exit gate** exactly like the sweep kernels
-  (the speedup -- >= 3x acceptance, ~7x on the reference machine -- is
-  recorded, not asserted);
-* **pooled arena cold start**: one cold sweep through two private
+* **pattern build** -- cold (fresh registry) vs registry-warm.
+* **sweep** -- the fixed sweep through the uncached reference, the
+  ``python`` and ``numpy`` kernels in-process (plus the numpy batch
+  formulation the incremental strided engine replaces), and the
+  persistent pool at ``--jobs`` workers, cold and warm.  numpy ==
+  python bit-identity is a hard exit gate; a perf floor requires the
+  numpy kernel to stay >= 3x over python.
+* **critical-offset enumeration** on Disco 101x103 (a ~156k-offset
+  critical set), python reference vs the vectorized kernel,
+  bit-identity hard-gated.
+* **pool arena cold start** -- one cold sweep through two private
   spawn-context pools, with and without the shared-memory pattern
-  arena, so the JSON tracks what the arena saves spawn-start workers
-  (the pattern rebuild each worker paid before PR 5).
+  arena.
+* **DES spot checks** -- in-process vs the persistent pool.
+* **cost fit** -- measured per-scenario grid wall-clock, regressed by
+  :func:`repro.parallel.fit_cost_weights` into scheduler cost weights.
+* **worst_case** -- the adaptive-fidelity ladder behind
+  ``Session.worst_case`` over the 13-family equivalence zoo plus two
+  heavy Disco pairs: exact mode hard-gated bit-identical to the
+  pre-ladder engine composition, bounded mode rerun under a 100 ms
+  budget.  Every family records ``budget_ratio`` (bounded seconds /
+  budget; recorded only), and a perf floor requires at least one family
+  where bounded mode met the budget that exact mode exceeded.
+* **store** -- the checked-in golden campaign run cold and warm against
+  a fresh result store: the warm pass must be 100% hits with zero
+  re-execution and the golden CSVs regenerated from the store must be
+  byte-identical to the pinned files (both hard exit gates).
 
-Since PR 6 a **store** phase runs the checked-in golden campaign twice
-against a fresh content-addressed result store: the cold pass executes
-all sweeps, the warm pass must be 100% fingerprint hits with zero
-re-execution, and the four golden CSVs regenerated from store payloads
-must be byte-identical to the pinned files -- both hard exit gates.
-The JSON records the hit rate and the lookup-vs-sweep per-entry
-timings.
-
-Since PR 7 a **campaign** phase runs a lattice cold under
-``--entry-jobs`` work-stealing campaign workers (longest estimated
-entry first) into a fresh store.  Content equivalence with a serial
-cold pass -- same fingerprint set, byte-identical payloads, same
-done/failed partition -- is a hard exit gate; the serial-vs-parallel
-lattice wall-clock is the recorded trajectory.  PR 8 swapped the
-measured lattice: the golden campaign's entries are millisecond sweeps,
-so its serial-vs-parallel pair timed thread overhead (~1.0x); the phase
-now times a dedicated compute-bound Searchlight slot-length lattice
-(the golden lattice keeps gating content equivalence in the store
-phase).
-
-Since PR 8 the kernel shoot-out also covers the two new tiers:
-
-* the **incremental cross-offset engine** (the fixed sweep's offsets
-  are an arithmetic progression, so the default numpy kernel takes the
-  strided fast path) against the wholesale batch kernel it replaces
-  (``NumpyBackend(use_incremental=False)``), bit-identity hard-gated,
-  with ``incremental_speedup_over_batch`` as the acceptance row;
-* the **native (numba) kernel**, JIT-warmed before timing, against the
-  python reference, recording ``native_seconds`` and
-  ``kernel_speedup_native_over_python`` next to its >= 20x target --
-  with native == python bit-identity folded into the hard exit gate.
-  Skipped cleanly (no rows, no gate) when numba is not importable.
-
-PR 8 also adds **perf floors**: the run fails if the numpy kernel
-speedup over python drops below 3x, or the native kernel speedup below
-15x, when the respective kernels are available.  ``--no-perf-floors``
-disables the assertion (shared/overloaded runners) while keeping the
-recorded rows.
-
-Since PR 10 a **worst_case** phase measures the adaptive-fidelity
-ladder behind ``Session.worst_case``: for every family in the 13-family
-equivalence zoo (plus the heavy Disco 101x103 pair), exact mode is
-checked bit-identical to the pre-ladder engine composition -- a hard
-exit gate -- and bounded mode reruns the same query under a 100 ms
-budget with the freshly fitted cost weights installed.  The recorded
-rows are the exact-vs-bounded latency/accuracy frontier; a perf floor
-requires at least one family where bounded mode met the budget that
-exact mode exceeded.
+``--no-perf-floors`` records the floored ratios without asserting them
+(shared or overloaded runners).
 """
 
 from __future__ import annotations
@@ -107,7 +65,6 @@ from pathlib import Path
 from repro.backends import (
     available_backends,
     default_backend_name,
-    numba_version,
     numpy_version,
     NumpyBackend,
     SweepParams,
@@ -313,9 +270,31 @@ def _legacy_worst_case(protocol_e, protocol_f, horizon, sweeper):
     return report, agrees, len(offsets)
 
 
+#: Keys earlier versions of this script wrote for execution paths that
+#: no longer exist (per-sweep pools, the numba tier, entry-level
+#: campaign threads); dropped on rewrite so they cannot pass for
+#: current measurements.
+RETIRED_SECTIONS = (
+    "serial_seconds", "parallel_seconds", "numba_version", "campaign",
+)
+
+
+def write_sections(output: Path, sections: dict) -> None:
+    """Read-modify-write ``output``: replace the top-level keys in
+    ``sections`` (this script's), keep every other script's."""
+    payload = {}
+    if output.exists():
+        payload = json.loads(output.read_text(encoding="utf-8"))
+    for key in RETIRED_SECTIONS:
+        payload.pop(key, None)
+    payload.update(sections)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--output", default=str(RESULTS_DIR / "BENCH_parallel.json")
@@ -323,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-perf-floors",
         action="store_true",
-        help="record kernel speedups without asserting the 3x numpy / "
-        "15x native floors (for shared or overloaded runners)",
+        help="record the 3x numpy floor and the worst-case frontier "
+        "without asserting them (for shared or overloaded runners)",
     )
     args = parser.parse_args(argv)
 
@@ -347,52 +326,40 @@ def main(argv: list[str] | None = None) -> int:
         f"{cache_warm_s * 1e6:.0f} us registry-warm"
     )
 
-    # Phase: the fixed offset sweep, serial reference vs parallel.
-    serial_s, serial_report = best_of(
+    # Phase: the fixed offset sweep through every execution path.  The
+    # uncached loop is the labelled reference row; the headline compares
+    # the best configuration against the in-process numpy kernel.
+    reference_s, reference_report = best_of(
         args.repeats,
         lambda: sweep_offsets(protocol, protocol, offsets, horizon),
     )
-    print(f"serial       : {serial_s:.3f} s (best of {args.repeats})")
-
-    executor = ParallelSweep(jobs=args.jobs)
-    parallel_s, parallel_report = best_of(
-        args.repeats,
-        lambda: executor.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
-    print(f"parallel({args.jobs:2d}) : {parallel_s:.3f} s (best of {args.repeats})")
-
-    identical = parallel_report == serial_report
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    print(f"speedup      : {speedup:.2f}x   bit-identical: {identical}")
-
-    # Phase: single-worker kernel shoot-out (backend, not pool, speedup).
-    # The numpy == python (and native == python) asserts are the CI
-    # smoke gates for the fast kernels; the speedups are recorded as
-    # acceptance evidence and, since PR 8, guarded by coarse floors
-    # (3x numpy / 15x native, --no-perf-floors to disable) chosen well
-    # below the reference-machine numbers so shared-runner jitter does
-    # not flake the gate.
+    print(f"reference    : {reference_s:.3f} s uncached loop "
+          f"(best of {args.repeats})")
+    identical = True
     backend_timings: dict = {}
+    configurations: dict = {}
+
+    def sweep_through(engine):
+        return engine.sweep_offsets(protocol, protocol, offsets, horizon)
+
     python_s, python_report = best_of(
-        args.repeats,
-        lambda: ParallelSweep(jobs=1, backend="python").sweep_offsets(
-            protocol, protocol, offsets, horizon
-        ),
+        args.repeats, lambda: sweep_through(ParallelSweep(jobs=1, backend="python"))
     )
     backend_timings["python_seconds"] = python_s
-    kernel_identical = python_report == serial_report
+    configurations["python"] = python_s
+    kernel_identical = python_report == reference_report
     identical = identical and kernel_identical
     print(f"kernel python: {python_s:.3f} s   bit-identical: {kernel_identical}")
     kernel_speedup = None
+    numpy_s = None
     if "numpy" in available_backends():
         numpy_s, numpy_report = best_of(
             args.repeats,
-            lambda: ParallelSweep(jobs=1, backend="numpy").sweep_offsets(
-                protocol, protocol, offsets, horizon
-            ),
+            lambda: sweep_through(ParallelSweep(jobs=1, backend="numpy")),
         )
         backend_timings["numpy_seconds"] = numpy_s
-        kernel_identical = numpy_report == python_report == serial_report
+        configurations["numpy"] = numpy_s
+        kernel_identical = numpy_report == python_report == reference_report
         identical = identical and kernel_identical
         kernel_speedup = python_s / numpy_s if numpy_s > 0 else float("inf")
         backend_timings["kernel_speedup_numpy_over_python"] = kernel_speedup
@@ -400,81 +367,56 @@ def main(argv: list[str] | None = None) -> int:
             f"kernel numpy : {numpy_s:.3f} s   {kernel_speedup:.2f}x over "
             f"python   bit-identical: {kernel_identical}"
         )
-        # Incremental vs wholesale batch on the same strided sweep.  The
-        # fixed offsets are an arithmetic progression, so the default
-        # numpy timing above already took the incremental cross-offset
-        # path; forcing use_incremental=False times the batch kernel it
-        # has to beat (PR 8 acceptance row).  Bit-identity between the
-        # two formulations stays a hard exit gate.
+        # The fixed offsets are an arithmetic progression, so the numpy
+        # timing above took the incremental strided path; forcing
+        # use_incremental=False times the batch kernel it replaces.
         batch_s, batch_report = best_of(
             args.repeats,
-            lambda: ParallelSweep(
+            lambda: sweep_through(ParallelSweep(
                 jobs=1, backend=NumpyBackend(use_incremental=False)
-            ).sweep_offsets(protocol, protocol, offsets, horizon),
+            )),
         )
-        batch_identical = batch_report == numpy_report == serial_report
+        batch_identical = batch_report == numpy_report
         identical = identical and batch_identical
-        incremental_speedup = (
-            batch_s / numpy_s if numpy_s > 0 else float("inf")
-        )
         backend_timings["numpy_batch_seconds"] = batch_s
-        backend_timings["numpy_incremental_seconds"] = numpy_s
         backend_timings["incremental_speedup_over_batch"] = (
-            incremental_speedup
+            batch_s / numpy_s if numpy_s > 0 else float("inf")
         )
         print(
             f"kernel incr  : {numpy_s:.3f} s incremental vs {batch_s:.3f} s "
-            f"batch   {incremental_speedup:.2f}x   "
-            f"bit-identical: {batch_identical}"
+            f"batch   bit-identical: {batch_identical}"
         )
-    native_speedup = None
-    if "native" in available_backends():
-        native_sweep = ParallelSweep(jobs=1, backend="native")
-        # Warm-up sweep: the first call pays the one-time numba JIT
-        # compile (cache=True persists it across processes, but never
-        # assume a warm cache); timing starts after it.
-        native_sweep.sweep_offsets(protocol, protocol, offsets, horizon)
-        native_s, native_report = best_of(
-            args.repeats,
-            lambda: native_sweep.sweep_offsets(
-                protocol, protocol, offsets, horizon
-            ),
-        )
-        native_identical = native_report == python_report == serial_report
-        identical = identical and native_identical
-        native_speedup = python_s / native_s if native_s > 0 else float("inf")
-        backend_timings["native_seconds"] = native_s
-        backend_timings["kernel_speedup_native_over_python"] = native_speedup
-        backend_timings["native_target_speedup_over_python"] = 20.0
-        print(
-            f"kernel native: {native_s:.3f} s   {native_speedup:.2f}x over "
-            f"python (target >= 20x)   bit-identical: {native_identical}"
-        )
-    # Persistent pool: first sweep pays pool startup, the second reuses
-    # warm workers -- the gap is what per-sweep pools charged every time.
-    pooled = ParallelSweep(jobs=args.jobs, backend="pooled")
-    pooled_cold_s, pooled_report = best_of(
-        1,
-        lambda: pooled.sweep_offsets(protocol, protocol, offsets, horizon),
-    )
+    # The persistent pool: the first sweep pays pool startup, later
+    # sweeps reuse warm workers.
+    pooled = ParallelSweep(jobs=args.jobs)
+    pooled_cold_s, pooled_report = best_of(1, lambda: sweep_through(pooled))
     pooled_warm_s, pooled_warm_report = best_of(
-        args.repeats,
-        lambda: pooled.sweep_offsets(protocol, protocol, offsets, horizon),
+        args.repeats, lambda: sweep_through(pooled)
     )
     backend_timings["pooled_cold_seconds"] = pooled_cold_s
     backend_timings["pooled_warm_seconds"] = pooled_warm_s
-    pooled_identical = pooled_report == pooled_warm_report == serial_report
+    configurations[f"jobs={args.jobs}"] = pooled_warm_s
+    pooled_identical = pooled_report == pooled_warm_report == reference_report
     identical = identical and pooled_identical
     print(
-        f"pooled({args.jobs:2d})   : {pooled_cold_s:.3f} s cold, "
+        f"jobs={args.jobs:<2}      : {pooled_cold_s:.3f} s cold, "
         f"{pooled_warm_s:.3f} s warm   bit-identical: {pooled_identical}"
     )
     shutdown_pooled_backends()
 
-    # Phase: critical-offset enumeration on a large-zoo pair (PR 5).
-    # The python reference double loop vs the vectorized kernel;
-    # bit-identity between the full sorted offset lists is a hard exit
-    # gate, the speedup (>= 3x acceptance bar) is recorded evidence.
+    best_name = min(configurations, key=configurations.get)
+    baseline_name = "numpy" if numpy_s is not None else "python"
+    baseline_s = configurations[baseline_name]
+    best_s = configurations[best_name]
+    speedup = baseline_s / best_s if best_s > 0 else float("inf")
+    print(
+        f"headline     : best {best_name} {best_s:.3f} s vs in-process "
+        f"{baseline_name} {baseline_s:.3f} s -> {speedup:.2f}x"
+    )
+
+    # Phase: critical-offset enumeration on a large-zoo pair.  The
+    # python reference double loop vs the vectorized kernel; bit-identity
+    # between the full sorted offset lists is a hard exit gate.
     enum_proto = Disco(101, 103, slot_length=1000, omega=32)
     enum_e, enum_f = enum_proto.device(Role.E), enum_proto.device(Role.F)
     enum_python_s, enum_python = best_of(
@@ -504,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             f"python   bit-identical: {enum_identical}"
         )
 
-    # Phase: pooled cold start with vs without the shared-memory pattern
+    # Phase: pool cold start with vs without the shared-memory pattern
     # arena, under spawn (the start method whose workers rebuild every
     # pattern from scratch -- fork gets the parent registry for free).
     # The workload is a heavy-pattern pair (PeriodicInterval 997x10007:
@@ -554,12 +496,8 @@ def main(argv: list[str] | None = None) -> int:
         f"({arena_delta:+.3f} s saved)"
     )
 
-    # Phase: DES spot-check replays (the verified_worst_case tail),
-    # serial vs the jobs-aware path.  This batch sits below the pooled
-    # path's estimated-work floor, so near-parity between the two
-    # timings is the expected result -- it demonstrates the gate that
-    # keeps short replay batches from paying pool startup; long-horizon
-    # validations clear the floor and shard across workers.
+    # Phase: DES spot-check replays (the worst-case tail), in-process vs
+    # one submission per offset over the persistent pool.
     spot_offsets = offsets[:: max(1, len(offsets) // N_SPOT_CHECKS)][
         :N_SPOT_CHECKS
     ]
@@ -569,23 +507,24 @@ def main(argv: list[str] | None = None) -> int:
             protocol, protocol, spot_offsets, horizon
         ),
     )
-    spot_parallel_s, spot_parallel = best_of(
+    spot_pooled_s, spot_pooled = best_of(
         1,
-        lambda: executor.spot_check_pairs(
+        lambda: pooled.spot_check_pairs(
             protocol, protocol, spot_offsets, horizon
         ),
     )
-    spot_identical = spot_serial == spot_parallel
+    shutdown_pooled_backends()
+    spot_identical = spot_serial == spot_pooled
     identical = identical and spot_identical
     print(
-        f"DES spot x{len(spot_offsets)} : {spot_serial_s:.3f} s serial, "
-        f"{spot_parallel_s:.3f} s parallel({args.jobs})   "
+        f"DES spot x{len(spot_offsets)} : {spot_serial_s:.3f} s in-process, "
+        f"{spot_pooled_s:.3f} s jobs={args.jobs} (incl. pool start)   "
         f"bit-identical: {spot_identical}"
     )
 
     # Phase: measured per-scenario grid wall-clock for cost-model
     # calibration.  Serial, one run per scenario, seeds derived exactly
-    # as sweep_network_grid derives them; the recorded event-rate
+    # as the grid driver derives them; the recorded event-rate
     # components are what fit_cost_weights regresses seconds onto.
     grid = scenario_grid(
         dense_network, n_devices=[3, 6], eta=[0.02, 0.05], seed=[0]
@@ -612,15 +551,13 @@ def main(argv: list[str] | None = None) -> int:
         f"(beacon={fitted[0]:.3e}, window={fitted[1]:.3e})"
     )
 
-    # Phase: adaptive-fidelity worst-case ladder (PR 10).  Exact mode
-    # must stay bit-identical to the pre-ladder engine composition
-    # across the 13-family zoo -- a hard exit gate, folded into
-    # ``identical``.  Bounded mode reruns every family under a 100 ms
-    # budget with the freshly fitted cost weights installed (so the
-    # planner prices tiers in this machine's milliseconds), plus the
-    # heavy ``disco-101x103`` pair whose exact sweep cannot meet the
-    # budget: the recorded rows are the exact-vs-bounded
-    # latency/accuracy frontier.
+    # Phase: adaptive-fidelity worst-case ladder.  Exact mode must stay
+    # bit-identical to the pre-ladder engine composition across the
+    # 13-family zoo -- a hard exit gate, folded into ``identical``.
+    # Bounded mode reruns every family under a 100 ms budget with the
+    # freshly fitted cost weights installed (so the planner prices
+    # tiers in this machine's milliseconds).  ``budget_ratio`` records
+    # how far each bounded query over- or undershot its budget.
     wc_rows = []
     wc_identical = True
     wc_budget_met = []
@@ -660,7 +597,8 @@ def main(argv: list[str] | None = None) -> int:
             accuracy = None
             if truth and lo is not None:
                 accuracy = lo / truth
-            if bounded_s * 1000.0 <= WC_BUDGET_MS:
+            budget_ratio = bounded_s * 1000.0 / WC_BUDGET_MS
+            if budget_ratio <= 1.0:
                 wc_budget_met.append(family)
             if exact_s * 1000.0 > WC_BUDGET_MS:
                 wc_exact_over.append(family)
@@ -670,6 +608,7 @@ def main(argv: list[str] | None = None) -> int:
                     "horizon": wc_horizon,
                     "exact_seconds": exact_s,
                     "bounded_seconds": bounded_s,
+                    "budget_ratio": budget_ratio,
                     "exact_offsets": exact_outcome.offsets_checked,
                     "bounded_offsets": bounded_outcome.offsets_checked,
                     "bounded_fidelity": bounded_outcome.fidelity,
@@ -682,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"worst-case   : {family:<20} exact {exact_s * 1000:8.1f} ms"
                 f"   bounded {bounded_s * 1000:7.1f} ms"
-                f" [{bounded_outcome.fidelity}]"
+                f" ({budget_ratio:4.2f}x budget) [{bounded_outcome.fidelity}]"
                 f"   bit-identical: {family_identical}"
             )
     finally:
@@ -698,24 +637,22 @@ def main(argv: list[str] | None = None) -> int:
         "spot_checks": WC_SPOT_CHECKS,
         "exact_bit_identical": wc_identical,
         "families": wc_rows,
+        "budget_ratio_max": max(row["budget_ratio"] for row in wc_rows),
         "bounded_met_budget": wc_budget_met,
         "exact_over_budget": wc_exact_over,
         "frontier_families": wc_frontier,
     }
 
-    # Phase: the content-addressed result store on the golden campaign
-    # (PR 6).  Cold run executes all 14 sweeps and writes back; the warm
-    # rerun must be 100% store hits with zero sweep re-execution, and
-    # the four golden CSVs regenerated from store payloads must be
-    # byte-identical to the pinned files -- both are hard exit gates.
-    # The recorded numbers are the lookup-vs-sweep trajectory: what a
-    # fingerprint lookup costs against what the sweep it replaces cost.
+    # Phase: the content-addressed result store on the golden campaign.
+    # The cold run executes all sweeps and writes back; the warm rerun
+    # must be 100% store hits with zero sweep re-execution, and the
+    # golden CSVs regenerated from store payloads must be byte-identical
+    # to the pinned files -- both are hard exit gates.
     import shutil
     import tempfile
 
     from repro.campaign import (
         build_golden_campaign,
-        Campaign,
         CampaignRunner,
         regenerate_golden_csvs,
     )
@@ -773,99 +710,25 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "golden_csvs_bit_identical": csv_ok,
         }
-
-        # Phase: parallel campaign execution (PR 7, reworked PR 8).
-        # The golden lattice's entries are millisecond sweeps, so its
-        # serial-vs-parallel pair measured per-entry thread overhead
-        # (~1.0x), not entry-level parallelism.  Time a dedicated
-        # compute-bound lattice instead: one Searchlight run with a
-        # slot-length axis, each entry a dense uniform sweep costing
-        # real kernel time (~100 ms, two orders of magnitude over the
-        # per-entry store/manifest overhead).  Serial cold pass first,
-        # then the same lattice cold under --entry-jobs work-stealing
-        # workers into a fresh store.  Content equivalence is a hard
-        # exit gate: same fingerprint set, byte-identical payloads,
-        # same done/failed partition.  The wall-clock pair is the
-        # recorded trajectory (~1.0x on a single-core reference
-        # machine, where no entry-level overlap is possible).
-        compute_campaign = Campaign(
-            name="bench-compute",
-            description=(
-                "compute-bound lattice for the entry-parallelism bench"
-            ),
-            runs=[
-                {
-                    "verb": "sweep",
-                    "label": "searchlight-slots",
-                    "spec": {
-                        "pair": {
-                            "kind": "zoo",
-                            "protocol": "Searchlight",
-                            "params": {"period_slots": 8, "omega": 32},
-                        },
-                        "sampling": "uniform",
-                        "samples": 10000,
-                    },
-                    "axes": {
-                        "pair.params.slot_length": [
-                            607, 641, 673, 709, 743, 769, 809, 839,
-                        ],
-                    },
-                },
-            ],
-        )
-        ser_store = ResultStore(store_dir / "cstore")
-        start = time.perf_counter()
-        cser = CampaignRunner(
-            compute_campaign, ser_store,
-            manifest_path=store_dir / "cser.json",
-        ).run()
-        campaign_serial_s = time.perf_counter() - start
-        par_store = ResultStore(store_dir / "pstore")
-        start = time.perf_counter()
-        par = CampaignRunner(
-            compute_campaign, par_store,
-            manifest_path=store_dir / "par.json",
-        ).run(entry_jobs=args.jobs)
-        campaign_parallel_s = time.perf_counter() - start
-        same_fps = (
-            par_store.known_fingerprints() == ser_store.known_fingerprints()
-        )
-        same_payloads = same_fps and all(
-            json.dumps(par_store.get(fp).payload, sort_keys=True)
-            == json.dumps(ser_store.get(fp).payload, sort_keys=True)
-            for fp in ser_store.known_fingerprints()
-        )
-        same_partition = [
-            (r["status"], r.get("source")) for r in par["entries"]
-        ] == [(r["status"], r.get("source")) for r in cser["entries"]]
-        campaign_ok = (
-            cser["complete"] and par["complete"]
-            and same_fps and same_payloads and same_partition
-        )
-        identical = identical and campaign_ok
-        campaign_speedup = (
-            campaign_serial_s / campaign_parallel_s
-            if campaign_parallel_s > 0 else float("inf")
-        )
-        print(
-            f"campaign     : {campaign_serial_s:.3f} s serial lattice, "
-            f"{campaign_parallel_s:.3f} s parallel({args.jobs}) "
-            f"[{campaign_speedup:.2f}x]   content-equivalent: {campaign_ok}"
-        )
-        campaign_phase = {
-            "lattice": "bench-compute (Searchlight slot-length axis)",
-            "entries": par["total"],
-            "entry_jobs": args.jobs,
-            "serial_seconds": campaign_serial_s,
-            "parallel_seconds": campaign_parallel_s,
-            "speedup": campaign_speedup,
-            "content_equivalent": campaign_ok,
-        }
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
-    payload = {
+    # Perf floors: wall-clock ratios flake on shared runners, so the
+    # numpy floor sits far below the reference-machine number (~6x) and
+    # --no-perf-floors turns the floors into recorded-only rows.
+    floor_failures = []
+    if not args.no_perf_floors:
+        if kernel_speedup is not None and kernel_speedup < 3.0:
+            floor_failures.append(
+                f"numpy kernel speedup {kernel_speedup:.2f}x over python "
+                f"fell below the 3x floor"
+            )
+        if not wc_frontier:
+            floor_failures.append(
+                f"no zoo family had bounded mode meet the "
+                f"{WC_BUDGET_MS:.0f} ms budget while exact mode exceeded it"
+            )
+    sections = {
         "experiment": "BENCH-PARALLEL",
         "workload": {
             "omega": OMEGA,
@@ -879,66 +742,49 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "backend": default_backend_name(),
         "numpy_version": numpy_version(),
-        "numba_version": numba_version(),
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
+        "headline": {
+            "baseline": baseline_name,
+            "baseline_seconds": baseline_s,
+            "best": best_name,
+            "best_seconds": best_s,
+            "configurations": configurations,
+        },
         "speedup": speedup,
+        "reference": {
+            "label": "uncached pure-python loop (reference only, not a "
+                     "baseline)",
+            "seconds": reference_s,
+        },
         "bit_identical": identical,
         "phases": {
             "cache_build_cold_seconds": cache_cold_s,
             "cache_build_warm_seconds": cache_warm_s,
-            "sweep_serial_seconds": serial_s,
-            "sweep_parallel_seconds": parallel_s,
-            "des_spot_serial_seconds": spot_serial_s,
-            "des_spot_parallel_seconds": spot_parallel_s,
+            "des_spot_inprocess_seconds": spot_serial_s,
+            "des_spot_pooled_seconds": spot_pooled_s,
         },
         "backends": backend_timings,
         "store": store_phase,
-        "campaign": campaign_phase,
         "worst_case": worst_case_phase,
         "per_scenario": per_scenario,
         "fitted_cost_weights": {
             "beacon": fitted[0],
             "window": fitted[1],
         },
-        "worst_one_way": serial_report.worst_one_way,
-        "worst_two_way": serial_report.worst_two_way,
-    }
-    # Perf floors (PR 8): wall-clock ratios flake on shared runners, so
-    # the floors sit far below the reference-machine numbers (>= 3x
-    # recorded as ~6-9x numpy, >= 15x for the >= 20x native target) and
-    # --no-perf-floors turns them into recorded-only rows.
-    floor_failures = []
-    if not args.no_perf_floors:
-        if kernel_speedup is not None and kernel_speedup < 3.0:
-            floor_failures.append(
-                f"numpy kernel speedup {kernel_speedup:.2f}x over python "
-                f"fell below the 3x floor"
-            )
-        if native_speedup is not None and native_speedup < 15.0:
-            floor_failures.append(
-                f"native kernel speedup {native_speedup:.2f}x over python "
-                f"fell below the 15x floor"
-            )
-        if not wc_frontier:
-            floor_failures.append(
-                f"no zoo family had bounded mode meet the "
-                f"{WC_BUDGET_MS:.0f} ms budget while exact mode exceeded it"
-            )
-    payload["perf_floors"] = {
-        "numpy_over_python": 3.0,
-        "native_over_python": 15.0,
-        "worst_case_bounded_budget_ms": WC_BUDGET_MS,
-        "enforced": not args.no_perf_floors,
-        "failures": floor_failures,
+        "worst_one_way": reference_report.worst_one_way,
+        "worst_two_way": reference_report.worst_two_way,
+        "perf_floors": {
+            "numpy_over_python": 3.0,
+            "worst_case_bounded_budget_ms": WC_BUDGET_MS,
+            "enforced": not args.no_perf_floors,
+            "failures": floor_failures,
+        },
     }
     output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(payload, indent=2) + "\n")
+    write_sections(output, sections)
     print(f"-> {output}")
 
     if not identical:
-        print("FAIL: parallel results diverged from the serial reference")
+        print("FAIL: an execution path diverged from the reference")
         return 1
     if floor_failures:
         for failure in floor_failures:

@@ -7,10 +7,11 @@ with ``pytest benchmarks/ --benchmark-only -s``) and writes
 records the paper-vs-measured comparison for every experiment id.
 
 Parallel mode is opt-in: ``REPRO_BENCH_JOBS=N`` makes sweep-heavy
-benchmarks shard their offset sweeps across ``N`` worker processes (see
-the ``sweep_jobs`` fixture and ``parallel_sweep_offsets``, which
-asserts serial equivalence on the fly).  The default stays serial so
-published numbers are comparable across machines.
+benchmarks run their offset sweeps through ``Session(jobs=N)`` -- the
+persistent pool of ``N`` workers (see the ``sweep_jobs`` fixture and
+``parallel_sweep_offsets``, which asserts serial equivalence on the
+fly).  The default stays serial so published numbers are comparable
+across machines.
 """
 
 from __future__ import annotations
@@ -35,43 +36,49 @@ def sweep_jobs() -> int:
 def parallel_sweep_offsets(sweep_jobs):
     """A ``sweep_offsets`` replacement that honors the opt-in parallel mode.
 
-    With ``REPRO_BENCH_JOBS > 1`` sweeps run through
-    :class:`repro.parallel.ParallelSweep`; every *distinct* call is
-    additionally re-run serially and compared **at fixture teardown**,
-    outside the benchmark-timed region -- so the timings measure the
-    parallel path alone, while a benchmark that silently diverged from
-    the serial reference still fails the run.
+    With ``REPRO_BENCH_JOBS > 1`` sweeps run through one
+    ``Session(jobs=N)``; every *distinct* call is additionally re-run
+    serially and compared **at fixture teardown**, outside the
+    benchmark-timed region -- so the timings measure the pooled path
+    alone, while a benchmark that silently diverged from the serial
+    reference still fails the run.
     """
-    from repro.simulation import sweep_offsets
+    from repro.simulation import ReceptionModel, sweep_offsets
 
     if sweep_jobs <= 1:
         yield sweep_offsets
         return
 
-    from repro.parallel import ParallelSweep
+    from repro.api import RunSpec, Session
 
-    executor = ParallelSweep(jobs=sweep_jobs)
     recorded = {}
+    with Session(jobs=sweep_jobs) as session:
 
-    def run(protocol_e, protocol_f, offsets, horizon, *args, **kwargs):
-        offsets = list(offsets)
-        parallel = executor.sweep_offsets(
-            protocol_e, protocol_f, offsets, horizon, *args, **kwargs
-        )
-        key = (
-            protocol_e, protocol_f, tuple(offsets), horizon,
-            args, tuple(sorted(kwargs.items())),
-        )
-        recorded[key] = parallel
-        return parallel
+        def run(
+            protocol_e, protocol_f, offsets, horizon,
+            model=ReceptionModel.POINT, turnaround=0,
+        ):
+            offsets = list(offsets)
+            parallel = session.sweep(RunSpec(
+                pair=(protocol_e, protocol_f),
+                offsets=offsets,
+                horizon=horizon,
+                model=model.value,
+                turnaround=turnaround,
+            )).raw
+            key = (
+                protocol_e, protocol_f, tuple(offsets), horizon, model,
+                turnaround,
+            )
+            recorded[key] = parallel
+            return parallel
 
-    yield run
+        yield run
 
     for key, parallel in recorded.items():
-        protocol_e, protocol_f, offsets, horizon, args, kwargs = key
+        protocol_e, protocol_f, offsets, horizon, model, turnaround = key
         serial = sweep_offsets(
-            protocol_e, protocol_f, list(offsets), horizon,
-            *args, **dict(kwargs),
+            protocol_e, protocol_f, list(offsets), horizon, model, turnaround
         )
         assert parallel == serial, (
             "parallel sweep diverged from the serial reference"

@@ -9,10 +9,10 @@ fundamental limits for an energy budget (Theorems 5.4-5.7, C.1), build a
 schedule that attains them, then validate it through the **unified
 experiment API** -- one declarative :class:`repro.api.RunSpec` per
 experiment, one lifecycle-managed :class:`repro.api.Session` running
-them all.  The session resolves the sweep backend once (set
-``REPRO_BACKEND=python|numpy|pooled`` or pass a
-:class:`repro.api.RuntimeProfile` to choose), owns every worker pool it
-creates, and returns :class:`repro.api.RunResult` objects that carry
+them all.  The session resolves the sweep kernel once (set
+``REPRO_BACKEND=python|numpy``, ``REPRO_JOBS=N`` for the persistent
+worker pool, or pass a :class:`repro.api.RuntimeProfile` to choose),
+owns the worker pool it uses, and returns :class:`repro.api.RunResult` objects that carry
 their full reproduction recipe (spec + profile + backend + timings) and
 round-trip to JSON.
 """

@@ -1,13 +1,15 @@
 """The unified experiment API: declarative specs, one managed runtime.
 
-This package is the single public entry point PR 4 built over the
-runtime stack of PRs 1-3.  Two serializable dataclasses separate *what*
-an experiment is from *how* it runs:
+This package is the single public entry point over the runtime stack.
+Two serializable dataclasses separate *what* an experiment is from
+*how* it runs:
 
 * :class:`RunSpec` -- protocols / scenario / grid, reception model,
   fidelity knobs, DES spot-check policy (:mod:`repro.api.spec`);
-* :class:`RuntimeProfile` -- backend, jobs, schedule, mp context,
-  cache/shm limits, fitted cost weights; loadable from TOML/JSON
+* :class:`RuntimeProfile` -- kernel (``auto``/``python``/``numpy``),
+  ``jobs`` (the one multi-process switch: ``<= 1`` in-process, ``> 1``
+  the shared persistent pool), mp context, cache limits, fitted cost
+  weights, result store; loadable from TOML/JSON
   (``RuntimeProfile.load``, the CLI's ``--profile``);
 
 and one context-managed facade runs them:
@@ -42,10 +44,9 @@ identical provenance), ``fallback_used``, and the ``budget_ms`` it was
 answered under -- serialized under ``payload["provenance"]`` and
 rehydrated by :func:`repro.api.result.rehydrate_raw`.
 
-The pre-Session entry points (``evaluate_offsets(backend=)``,
-``verified_worst_case(jobs=)``, ``sweep_network_grid(schedule=)``, ...)
-remain as thin shims over this facade behind the single deprecation
-path of :mod:`repro.api._compat`.
+The pre-Session convenience functions ``verified_worst_case`` and
+``sweep_network_grid`` are plain default-:class:`Session` calls; they
+take no runtime arguments.
 
 Quickstart::
 
@@ -57,7 +58,6 @@ Quickstart::
         result.save("results")
 """
 
-from ._compat import LegacyRuntimeAPIWarning
 from .result import RunResult
 from .session import Session
 from .spec import (
@@ -73,7 +73,6 @@ __all__ = [
     "build_grid",
     "build_pair",
     "build_scenario",
-    "LegacyRuntimeAPIWarning",
     "RunResult",
     "RunSpec",
     "RuntimeProfile",

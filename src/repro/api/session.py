@@ -8,7 +8,7 @@ exposes the whole verb set over declarative
 
     from repro.api import RunSpec, RuntimeProfile, Session
 
-    profile = RuntimeProfile(backend="pooled", jobs=4)
+    profile = RuntimeProfile(jobs=4)
     with Session(profile) as session:
         sweep = session.sweep(RunSpec(pair={"kind": "symmetric", "eta": 0.01}))
         check = session.worst_case(RunSpec(pair={"kind": "symmetric", "eta": 0.01}))
@@ -24,14 +24,11 @@ Resource ownership
 The session *owns* what it creates and releases it deterministically on
 ``close()`` / ``__exit__`` -- no reliance on ``atexit``:
 
-* **Persistent pools** -- a resolved pooled backend is reference-
-  counted (:meth:`PooledBackend.retain`): nested sessions sharing one
-  profile share one pool, and the pool shuts down exactly when the last
-  session holding it exits.  Per-sweep pools were already
-  context-managed inside :class:`repro.parallel.ParallelSweep`.
-* **Shared-memory segments** -- per-sweep
-  :class:`~repro.parallel.shm.SharedPatternStore` segments unlink on
-  sweep exit by construction; a session therefore leaks no segments.
+* **Persistent pools** -- a ``jobs > 1`` session resolves the shared
+  persistent pool for its shape and reference-counts it
+  (:meth:`PooledBackend.retain`): nested sessions sharing one profile
+  share one pool, and the pool -- with its shared-memory pattern
+  arena -- shuts down exactly when the last session holding it exits.
 * **Listening-cache registry** -- with
   ``RuntimeProfile.cache_policy="release"`` the session snapshots the
   registry on activation and drops, on exit, every fingerprint
@@ -47,9 +44,8 @@ The session *owns* what it creates and releases it deterministically on
 
 Every verb returns a :class:`~repro.api.RunResult` carrying the spec
 and profile snapshots, the resolved backend name and phase timings --
-the full reproduction recipe -- and results are **bit-identical** to
-the legacy kwarg entry points for every backend/jobs/schedule
-combination (pinned zoo-wide by
+the full reproduction recipe -- and results are **bit-identical** for
+every backend/jobs combination (pinned zoo-wide by
 ``tests/test_parallel_equivalence_zoo.py``).
 """
 
@@ -63,27 +59,7 @@ from typing import Mapping
 from .result import network_result_payload, RunResult, sweep_report_payload
 from .spec import build_grid, build_pair, build_scenario, RunSpec, RuntimeProfile
 
-__all__ = ["Session", "evaluate_offsets_with_backend"]
-
-
-def evaluate_offsets_with_backend(
-    protocol_e, protocol_f, offsets, horizon, model, turnaround, backend
-):
-    """Facade-internal in-process batch evaluation.
-
-    The engine behind the ``evaluate_offsets(backend=...)`` legacy shim:
-    resolve the kernel once and run it directly, exactly as the
-    pre-Session entry point did (a pooled backend shards itself over its
-    own persistent pool; stateless kernels run in-process).  Backend
-    selection knowledge lives here, in the facade layer, not in
-    :mod:`repro.simulation.analytic`.
-    """
-    from ..backends import resolve_backend, SweepParams
-
-    return resolve_backend(backend).evaluate_offsets_batch(
-        SweepParams(protocol_e, protocol_f, horizon, model, turnaround),
-        list(offsets),
-    )
+__all__ = ["Session"]
 
 
 def _as_spec(spec) -> RunSpec:
@@ -143,14 +119,6 @@ class Session:
         self._backend = None
         self._retained_pool = None
         self._retain_token = None
-        #: Whether this session takes a retain/release reference on a
-        #: resolved pooled backend.  True for user sessions (the
-        #: deterministic-shutdown contract); the never-closed legacy-shim
-        #: sessions set it False so they keep the pre-Session semantics
-        #: -- pools live until ``shutdown_pooled_backends()``/``atexit``
-        #: -- without pinning a refcount that would block a concurrent
-        #: ``with Session(...)`` from shutting its own pool down.
-        self._owns_pools = True
         self._activated = False
         self._weights_installed = False
         self._previous_weights = None
@@ -262,35 +230,13 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
-    def worker(self) -> "Session":
-        """A sibling session for a worker thread: same profile, same
-        *shared* store instance, independent runtime state.
-
-        A :class:`Session` is not thread-safe -- backend resolution,
-        the cached sweeper and the scoped-knob bookkeeping all assume
-        one caller -- so concurrent entry execution (the parallel
-        :class:`~repro.campaign.CampaignRunner`) gives every worker
-        thread its own session via this method.  Workers share:
-
-        * the **store instance** (not merely the root path), so they
-          also share its lock-protected in-process LRU and stats;
-        * the **profile object**, so a pooled backend resolves to the
-          same refcounted pool (shutdown when the last worker closes).
-
-        Each worker must be closed like any other session; closing a
-        worker never tears down state the parent still uses.
-        """
-        if self._closed:
-            raise RuntimeError("Session is closed; create a new one")
-        return Session(self.profile, store=self.store)
-
     def close(self) -> None:
         """Release everything this session created (idempotent).
 
         Deterministic by design: pooled workers are gone (or handed to
         an outer session still holding the shared pool) by the time
-        this returns -- the ``atexit`` backstop exists only for
-        non-session legacy callers.
+        this returns -- the ``atexit`` backstop exists only for direct
+        ``ParallelSweep`` users.
         """
         if self._closed:
             return
@@ -353,7 +299,7 @@ class Session:
                 raise SpecError(
                     f"RuntimeProfile.backend: {exc.args[0]}"
                 ) from exc
-            if self._owns_pools and isinstance(resolved, PooledBackend):
+            if isinstance(resolved, PooledBackend):
                 self._retain_token = resolved.retain()
                 self._retained_pool = resolved
             self._sweeper = sweeper
@@ -362,7 +308,9 @@ class Session:
 
     @property
     def backend(self):
-        """The resolved :class:`repro.backends.SweepBackend` instance."""
+        """The resolved :class:`repro.backends.SweepBackend` instance:
+        the in-process kernel for ``jobs <= 1``, the persistent pool
+        over it for ``jobs > 1``."""
         self._engine()
         return self._backend
 
@@ -501,7 +449,7 @@ class Session:
         ``raw``: the :class:`repro.simulation.PairWorstCase`.  The
         session's resolved kernel runs the whole pipeline -- critical
         enumeration (``critical_offsets(backend=...)``, vectorized
-        under numpy), the sweep, and (for pooled profiles) the
+        under numpy), the sweep, and (for ``jobs > 1``) the
         spot-check sharding over the arena-warmed persistent pool.
 
         Exact by default.  With ``spec.budget_ms`` set (and

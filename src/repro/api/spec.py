@@ -1,18 +1,16 @@
 """Declarative experiment configuration: :class:`RunSpec` and
 :class:`RuntimeProfile`.
 
-Three PRs of runtime growth left the public surface threading
-``backend=``/``jobs=``/``schedule=``/``mp_context=`` kwargs through
-every entry point.  This module splits that surface into two
-serializable dataclasses with a strict separation of concerns:
+The public surface is two serializable dataclasses with a strict
+separation of concerns:
 
 * :class:`RunSpec` -- **what** to run: the protocol pair or scenario
   (declaratively, so a spec can live in a JSON file next to its
   results), the reception model, fidelity knobs (turnaround,
   advertising jitter, seed) and the DES spot-check policy.
 * :class:`RuntimeProfile` -- **how** to run it: sweep-kernel backend,
-  worker count, scheduling discipline, multiprocessing start method,
-  cache limits and fitted cost weights.  Profiles load from TOML or
+  worker count, multiprocessing start method, cache limits and fitted
+  cost weights.  Profiles load from TOML or
   JSON (``RuntimeProfile.load``), so a deployment describes its runtime
   once instead of re-passing flags at every callsite.
 
@@ -458,25 +456,21 @@ class RuntimeProfile(_SerializableConfig):
     """**How** to run -- the runtime policy a :class:`~repro.api.Session`
     applies to every verb.
 
-    One profile replaces the ``backend=``/``jobs=``/``schedule=``/
-    ``mp_context=`` kwarg plumbing of PR 1-3: resolve it once per
-    session, not once per call.  Profiles are plain data -- load one
-    from TOML or JSON with :meth:`load`, or build the environment
-    default with :meth:`default` (honouring ``REPRO_BACKEND``,
-    ``REPRO_JOBS``, ``REPRO_SCHEDULE`` and ``REPRO_PROFILE``).
+    Resolved once per session, not once per call.  Profiles are plain
+    data -- load one from TOML or JSON with :meth:`load`, or build the
+    environment default with :meth:`default` (honouring
+    ``REPRO_BACKEND``, ``REPRO_JOBS`` and ``REPRO_PROFILE``).
     """
 
     backend: Any = "auto"
-    """Sweep-kernel selection (:mod:`repro.backends` name or instance)."""
+    """Sweep-kernel selection: ``"auto"``, ``"python"``, ``"numpy"``
+    (:mod:`repro.backends`) or a kernel instance."""
     jobs: int | None = 1
-    """Worker processes; ``None`` = CPU count, ``1`` = serial."""
-    schedule: str = "steal"
-    """Grid scheduling discipline: ``"steal"`` or ``"chunk"``."""
+    """The one multi-process switch: ``<= 1`` runs the kernel
+    in-process, ``> 1`` shards sweeps, DES spot checks and grids over
+    the shared persistent pool of that size; ``None`` = CPU count."""
     mp_context: str | None = None
     """Multiprocessing start method; ``None`` = platform default."""
-    chunks_per_job: int = 4
-    shared_memory: bool = True
-    """Ship listening patterns to per-sweep workers via shared memory."""
     cache_limit: int | None = None
     """Session-scoped cap on the listening-cache registry (LRU);
     ``None`` keeps the process default."""
@@ -512,10 +506,6 @@ class RuntimeProfile(_SerializableConfig):
             raise SpecError(f"invalid RuntimeProfile field value: {exc}") from exc
 
     def _validate(self) -> None:
-        if self.schedule not in ("steal", "chunk"):
-            raise SpecError(
-                f"schedule must be 'steal' or 'chunk', got {self.schedule!r}"
-            )
         if self.cache_policy not in ("retain", "release"):
             raise SpecError(
                 f"cache_policy must be 'retain' or 'release', "
@@ -523,8 +513,6 @@ class RuntimeProfile(_SerializableConfig):
             )
         if self.jobs is not None and self.jobs < 0:
             raise SpecError(f"jobs must be non-negative, got {self.jobs}")
-        if self.chunks_per_job < 1:
-            raise SpecError("chunks_per_job must be positive")
         if self.cache_limit is not None and self.cache_limit < 1:
             raise SpecError("cache_limit must be positive")
         if self.cost_weights is not None:
@@ -620,10 +608,9 @@ class RuntimeProfile(_SerializableConfig):
         """The environment-default profile.
 
         ``REPRO_PROFILE`` (a TOML/JSON path) seeds the profile;
-        ``REPRO_BACKEND``, ``REPRO_JOBS`` and ``REPRO_SCHEDULE``
-        override individual fields -- which is how CI exercises the
-        examples under both the ``python`` and ``numpy`` kernels
-        without touching their source.
+        ``REPRO_BACKEND`` and ``REPRO_JOBS`` override individual fields
+        -- which is how CI exercises the examples under both the
+        ``python`` and ``numpy`` kernels without touching their source.
         """
         profile_path = os.environ.get("REPRO_PROFILE")
         profile = cls.load(profile_path) if profile_path else cls()
@@ -638,24 +625,5 @@ class RuntimeProfile(_SerializableConfig):
                     f"REPRO_JOBS must be an integer, "
                     f"got {os.environ['REPRO_JOBS']!r}"
                 ) from exc
-        if os.environ.get("REPRO_SCHEDULE"):
-            overrides["schedule"] = os.environ["REPRO_SCHEDULE"]
         return profile.replace(**overrides) if overrides else profile
 
-    def cache_key(self) -> tuple:
-        """A hashable identity for legacy-shim session sharing.
-
-        Field-driven so a future profile field can never be silently
-        omitted (which would alias two different profiles onto one
-        shared legacy session); unhashable values -- backend instances
-        -- key by object identity.
-        """
-        parts = []
-        for profile_field in fields(self):
-            value = getattr(self, profile_field.name)
-            if not isinstance(
-                value, (str, int, float, bool, tuple, type(None))
-            ):
-                value = ("instance", id(value))
-            parts.append(value)
-        return tuple(parts)

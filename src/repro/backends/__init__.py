@@ -6,13 +6,15 @@ precomputed listening pattern.  This package inverts the dependency
 structure of PR 1-2: instead of callers reaching into cache/evaluator
 internals, kernels implement
 :meth:`SweepBackend.evaluate_offsets_batch(params, offsets)` and
-register by name, and every layer above (``analytic.evaluate_offsets``,
-:class:`repro.parallel.ParallelSweep`, ``verified_worst_case``,
-``sweep_network_grid``, :class:`repro.workloads.Scenario`, the CLI's
-``--backend`` flag) selects one without knowing how it computes.
+register by name, and every layer above (:class:`repro.parallel.ParallelSweep`,
+:class:`repro.api.Session`, the CLI's ``--backend`` flag) selects one
+without knowing how it computes.
 
 Backend-selection contract
 --------------------------
+
+Exactly three names are selectable (``RuntimeProfile.backend``, the
+CLI's ``--backend``, ``REPRO_BACKEND``):
 
 * ``"python"`` -- the exact pure-python reference loop
   (:mod:`repro.backends.python_loop`), extracted verbatim from the PR-2
@@ -27,22 +29,16 @@ Backend-selection contract
   (``pip install repro-nd[fast]``), never a hard dependency --
   :mod:`repro.backends._np` is the one import-guard shim every
   vectorizing module goes through.
-* ``"native"`` -- the compiled kernel
-  (:mod:`repro.backends.native_kernel`): the whole per-lane discovery
-  loop jitted with ``numba.njit(cache=True)`` over the same int64
-  arrays, zero per-candidate dispatch.  Available only when Numba
-  (and NumPy, for the array plumbing) are importable --
-  :mod:`repro.backends._numba` is the matching import-guard shim --
-  and likewise an optional extra (``pip install repro-nd[native]``).
-* ``"pooled"`` -- a lazily created, explicitly shut-down persistent
-  ``ProcessPoolExecutor`` wrapping any inner kernel
-  (:mod:`repro.backends.pooled`), so many-small-sweep workloads stop
-  paying per-sweep pool startup.
-* ``"auto"`` (or ``None``) -- :func:`default_backend_name`:
-  ``native`` when Numba is importable, else ``numpy`` when NumPy is,
-  ``python`` fallback.  All defaults route through auto-detection, so
-  installing an extra is the only step a deployment needs to get the
-  fastest kernel everywhere.
+* ``"auto"`` (or ``None``) -- :func:`default_backend_name`: ``numpy``
+  when NumPy is importable, ``python`` otherwise.
+
+The backend names the *kernel*; how many processes run it is the
+separate ``RuntimeProfile.jobs`` switch.  ``jobs <= 1`` runs the kernel
+in-process; ``jobs > 1`` shards over the shared persistent
+:class:`~repro.backends.pooled.PooledBackend` for that
+``(kernel, jobs, mp_context)`` shape, whose workers run the same
+kernel.  A :class:`SweepBackend` *instance* is also accepted wherever a
+name is (a private ``PooledBackend`` included).
 
 Whatever the selection, results are **bit-identical** by contract: the
 same ``DiscoveryOutcome`` sequence in the same order for every protocol
@@ -62,18 +58,17 @@ first evaluated candidate's decode positions once, then advance each
 ``(residue, segment-index)`` pair by the shared stride delta,
 re-resolving only the windows whose segment index changed -- amortized
 O(changed windows) per offset instead of O(log pattern) per candidate.
-Both the ``numpy`` and ``native`` kernels use it as an internal fast
-path, gated on these preconditions (any miss falls back to the plain
-batch kernel, never to approximation):
+The ``numpy`` kernel uses it as an internal fast path, gated on these
+preconditions (any miss falls back to the plain batch kernel, never to
+approximation):
 
 * the offset batch is an arithmetic progression of at least
   ``incremental.MIN_LANES`` offsets with non-zero stride;
 * the receiver's listening pattern is precomputed and non-empty;
 * every beacon duration fits within the pattern hyperperiod.
 
-``NumpyBackend(use_incremental=False)`` /
-``NativeBackend(use_incremental=False)`` are the benching escape
-hatches that force the plain batch formulation.
+``NumpyBackend(use_incremental=False)`` is the benching escape hatch
+that forces the plain batch formulation.
 
 The ``enumerate_critical_offsets`` operation (PR 5)
 ---------------------------------------------------
@@ -106,10 +101,10 @@ enumeration feeding ``verified_worst_case`` and
   direction.
 * **Delegation.**  The abstract base provides the reference as the
   default implementation, so custom kernels stay correct without
-  opting in; ``pooled`` delegates to its inner kernel in-process (the
-  enumeration is one pass, not a batch worth sharding), and the numpy
-  kernel falls back to the reference wholesale beyond its int64
-  headroom.
+  opting in; the persistent pool delegates to its inner kernel
+  in-process (the enumeration is one pass, not a batch worth
+  sharding), and the numpy kernel falls back to the reference
+  wholesale beyond its int64 headroom.
 
 Persistent-pool lifecycle
 -------------------------
@@ -118,20 +113,15 @@ Persistent-pool lifecycle
 until first sharded use**; the pool then survives across batches (and
 across ``ParallelSweep`` instances, via
 :func:`~repro.backends.pooled.get_pooled_backend`'s keyed sharing) so
-worker-side pattern registries stay warm.  Shutdown is explicit --
-``backend.close()``, the context-manager protocol, or
-:func:`~repro.backends.pooled.shutdown_pooled_backends` (idempotent) --
-with an ``atexit`` hook as the no-leak backstop for legacy callers.
-
-Since PR 4 the preferred owner is a :class:`repro.api.Session`: a
-session that resolves a pooled backend takes a
+worker-side pattern registries stay warm.  The owner is a
+:class:`repro.api.Session`: a session that resolves a pool takes a
 :meth:`~repro.backends.pooled.PooledBackend.retain` reference and
 releases it on ``__exit__``, so nested sessions sharing one profile
-share one pool and the pool closes deterministically -- without
-``atexit`` -- exactly when the last owning session exits.  Backend
-*selection* likewise now flows from one
-:class:`repro.api.RuntimeProfile` (``profile.backend``) instead of
-per-call ``backend=`` kwargs, which survive only as deprecated shims.
+share one pool and the pool closes deterministically exactly when the
+last owning session exits.  ``backend.close()`` and
+:func:`~repro.backends.pooled.shutdown_pooled_backends` (idempotent)
+are the explicit shutdowns, with an ``atexit`` hook as the no-leak
+backstop for direct ``ParallelSweep`` users.
 """
 
 from .base import (
@@ -146,8 +136,6 @@ from .base import (
     SweepParams,
 )
 from ._np import have_numpy, numpy_version
-from ._numba import have_numba, numba_version
-from .native_kernel import NativeBackend
 from .numpy_kernel import NumpyBackend
 from .pooled import (
     get_pooled_backend,
@@ -158,8 +146,6 @@ from .python_loop import CachedPairEvaluator, PythonBackend
 
 register_backend("python", PythonBackend)
 register_backend("numpy", NumpyBackend)
-register_backend("native", NativeBackend)
-register_backend("pooled", get_pooled_backend)
 
 __all__ = [
     "available_backends",
@@ -169,10 +155,7 @@ __all__ = [
     "default_backend_name",
     "get_backend",
     "get_pooled_backend",
-    "have_numba",
     "have_numpy",
-    "NativeBackend",
-    "numba_version",
     "numpy_version",
     "NumpyBackend",
     "PooledBackend",

@@ -53,10 +53,6 @@ incremental path against the plain batch formulation.  (The candidate
 delta ``dC`` is offset-independent, so the state machine itself never
 reads the stride; the gate keeps the fast path on the workload shape it
 is measured on.)
-
-The ``native`` kernel (:mod:`repro.backends.native_kernel`) runs the
-same formulation serially per lane inside its compiled loops; this
-module is the vectorized rendition the ``numpy`` kernel uses.
 """
 
 from __future__ import annotations

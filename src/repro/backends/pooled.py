@@ -1,12 +1,9 @@
-"""Persistent worker-pool backend: pay pool startup once, not per sweep.
+"""Persistent worker-pool backend: the one multi-process execution path.
 
-Many workloads -- protocol-zoo tables, grid cells, repeated
-``verified_worst_case`` calls -- run *many small sweeps*, and PR 1-2's
-per-sweep ``ProcessPoolExecutor`` charged each one tens of milliseconds
-of fork/spawn startup.  :class:`PooledBackend` wraps any inner kernel
-(``python``, ``numpy`` or ``native``, by registry name) in a **lazily
-created,
-explicitly shut-down** persistent pool:
+Every ``jobs > 1`` run -- offset sweeps, DES spot checks, scenario
+grids -- shards over a :class:`PooledBackend`: a **lazily created,
+explicitly shut-down** persistent pool wrapping an in-process kernel
+(``python`` or ``numpy``, by registry name):
 
 * **Lazy creation** -- no processes exist until the first batch large
   enough to shard arrives; degenerate batches (fewer than two offsets,
@@ -28,15 +25,15 @@ process-wide registries (no per-sweep initializer exists on a
 persistent pool, and none is needed: the registry memoizes across
 tasks).
 
-Since PR 5 the pool also pins a **shared-memory pattern arena**
+The pool also pins a **shared-memory pattern arena**
 (:class:`repro.parallel.shm.PatternArena`) for the registry's sweep
 patterns: the parent publishes each pair's listening patterns (resolved
 through the keyed cache registry, so a warm zoo costs one dict probe)
 into pool-lifetime segments, and every sweep chunk carries the covering
 segment handles so workers map the patterns zero-copy instead of
 rebuilding them -- removing the one cold rebuild spawn-start workers
-still paid per protocol.  The arena lives and dies with the pool: it is
-released in :meth:`PooledBackend.close` (reached from
+would otherwise pay per protocol.  The arena lives and dies with the
+pool: it is released in :meth:`PooledBackend.close` (reached from
 ``Session.__exit__`` via the retain/release protocol, or from
 :func:`shutdown_pooled_backends`), never leaking segments past the
 owning pool.
@@ -66,6 +63,11 @@ __all__ = [
     "get_pooled_backend",
     "shutdown_pooled_backends",
 ]
+
+
+#: Contiguous chunks submitted per worker for one offset batch: enough
+#: to balance load across workers without measurable pickling overhead.
+CHUNKS_PER_JOB = 4
 
 
 def _default_mp_context() -> str:
@@ -137,7 +139,6 @@ class PooledBackend(SweepBackend):
         inner: str | None = None,
         jobs: int | None = None,
         mp_context: str | None = None,
-        chunks_per_job: int = 4,
         use_arena: bool = True,
     ) -> None:
         from .base import default_backend_name
@@ -145,7 +146,6 @@ class PooledBackend(SweepBackend):
         self.inner = inner or default_backend_name()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.mp_context = mp_context or _default_mp_context()
-        self.chunks_per_job = chunks_per_job
         #: Pin a pool-lifetime shared-memory pattern arena (module
         #: docstring); ``False`` keeps the PR-3 rebuild-per-worker
         #: behaviour -- results are bit-identical either way, the flag
@@ -286,33 +286,25 @@ class PooledBackend(SweepBackend):
     ) -> list[int]:
         """Critical-offset enumeration through the *inner* kernel,
         in-process: the enumeration is one (possibly vectorized) pass,
-        not a batch worth sharding, so a ``pooled(numpy)`` backend gets
-        the numpy kernel's batched modular arithmetic without paying
-        any pool round-trip."""
+        not a batch worth sharding, so a pool over ``numpy`` gets the
+        numpy kernel's batched modular arithmetic without paying any
+        pool round-trip."""
         return get_backend(self.inner).enumerate_critical_offsets(
             params, omega, max_count
         )
 
     # ------------------------------------------------------------------
     def evaluate_offsets_batch(
-        self,
-        params: SweepParams,
-        offsets: Sequence[int],
-        chunks_per_job: int | None = None,
+        self, params: SweepParams, offsets: Sequence[int]
     ) -> list[DiscoveryOutcome]:
-        """Shard one batch over the persistent pool.
-
-        ``chunks_per_job`` overrides the instance default for this call
-        -- the hook :class:`repro.parallel.ParallelSweep` uses to keep
-        its load-balancing knob meaningful on shared pooled instances.
-        """
+        """Shard one batch over the persistent pool, in
+        ``CHUNKS_PER_JOB`` contiguous chunks per worker."""
         offsets = list(offsets)
         if self.jobs <= 1 or len(offsets) < 2:
             return get_backend(self.inner).evaluate_offsets_batch(
                 params, offsets
             )
-        per_job = chunks_per_job if chunks_per_job else self.chunks_per_job
-        chunks = chunk_evenly(offsets, self.jobs * per_job)
+        chunks = chunk_evenly(offsets, self.jobs * CHUNKS_PER_JOB)
         # Boot (or reuse) the executor before publishing into the
         # arena: only a booted pool is tracked by _LIVE_POOLS, so a
         # failed boot must not strand freshly published shm segments
@@ -355,7 +347,7 @@ def get_pooled_backend(
 
     Two callers asking for the same ``(inner, jobs, mp_context)`` get
     the *same* instance -- and therefore the same warm worker pool --
-    which is what makes ``ParallelSweep(backend="pooled")`` amortize
+    which is what makes every ``ParallelSweep(jobs > 1)`` amortize
     startup across independent sweeps.  Construct :class:`PooledBackend`
     directly for a private pool.
     """
@@ -371,11 +363,6 @@ def get_pooled_backend(
         backend = PooledBackend(*key)
         _SHARED[key] = backend
     return backend
-
-
-#: Tells the registry this factory manages its own (shape-keyed)
-#: instances -- see :func:`repro.backends.base.get_backend`.
-get_pooled_backend.self_managed = True
 
 
 def shutdown_pooled_backends(wait: bool = True) -> int:

@@ -1,35 +1,30 @@
-"""Multiprocessing executor for offset sweeps, spot-checks and grids.
+"""The execution engine for offset sweeps, spot-checks and grids.
 
 The experiments behind every bound-validation figure reduce to many
 *independent* evaluations -- one exact pair computation per phase
 offset, one DES replay per spot-check offset, or one event-driven
-network run per grid point.  :class:`ParallelSweep` shards them across a
-pool of worker processes while preserving the serial path's results
-exactly:
+network run per grid point.  :class:`ParallelSweep` runs them with one
+switch, ``jobs``:
+
+* ``jobs <= 1`` runs everything in-process through the selected kernel;
+* ``jobs > 1`` shards everything over the shared persistent
+  :class:`repro.backends.pooled.PooledBackend` for that
+  ``(kernel, jobs, mp_context)`` shape -- offset sweeps as contiguous
+  chunks (with the pool's shared-memory pattern arena), DES spot checks
+  one submission per offset, grid scenarios one submission per scenario
+  in the cost-model-sorted work-stealing order of
+  :mod:`repro.parallel.schedule`.
+
+Either way the results are bit-identical to the serial path:
 
 * workers return *per-offset outcomes*, and the final report is built
   by the very same :func:`repro.simulation.analytic.summarize_outcomes`
   the serial sweep uses, over the same offset order -- aggregation
   rules (strict-``>`` tie-breaking, left-to-right mean summation) exist
-  in one place, so the parallel path cannot drift from them;
+  in one place, so the pooled path cannot drift from them;
 * seeded runs derive each item's seed from its *global* index via
-  :func:`repro.parallel.cache.derive_seed`, never from its chunk or
-  submission slot, so scheduling is invisible to the RNG.
-
-Offset sweeps stay contiguously chunked (per-offset cost is near
-uniform); the parent builds the listening patterns once through the
-keyed registry and ships them to workers as a shared-memory segment
-(:mod:`repro.parallel.shm`), so workers map instead of rebuild.  The
-*kernel* each worker (or the in-process path) runs is a pluggable
-:class:`repro.backends.SweepBackend` selected by name -- ``"auto"``
-resolves to the vectorized NumPy kernel when NumPy is importable and
-the pure-python reference otherwise, and ``"pooled"`` swaps the
-per-sweep pool for the lazily created persistent one so many-small-
-sweep workloads stop paying pool startup.  Grid scenarios go through
-the cost-model-sorted work-stealing schedule of
-:mod:`repro.parallel.schedule`: one submission per scenario, longest
-first, merged back by grid index.  DES spot-checks follow the same
-one-submission-per-offset pattern.
+  :func:`repro.parallel.cache.derive_seed`, never from its submission
+  slot, so scheduling is invisible to the RNG.
 
 Worker payloads are plain protocols/offsets sent through module-level
 functions; nothing closes over simulator state, so everything pickles
@@ -39,9 +34,7 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-
-import multiprocessing
+import time
 
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
@@ -51,79 +44,15 @@ from ..simulation.analytic import (
     summarize_outcomes,
     SweepReport,
 )
-from .cache import (
-    derive_seed,
-    get_listening_cache,
-    protocol_fingerprint,
-)
-from .schedule import default_simulation_cost, plan_longest_first
-from .shm import attach_pattern_caches, SharedPatternStore
+from .cache import derive_seed
+from .schedule import plan_longest_first
 
 __all__ = ["ParallelSweep"]
 
-# Estimated simulated-event floor below which DES spot-checks stay
-# in-process even with jobs > 1: pool startup costs tens of
-# milliseconds, so a handful of short replays finishes serially before
-# a pool would boot -- on any core count.  Roughly one second of
-# serial replay work at typical event throughput.
-_SPOT_POOL_MIN_EVENTS = 100_000
-
 
 # ----------------------------------------------------------------------
-# Worker-side state and entry points (module-level: picklable by name)
+# Worker entry points (module-level: picklable by name)
 # ----------------------------------------------------------------------
-
-_PAIR_BACKEND = None
-_PAIR_PARAMS = None
-_NETWORK_CONFIG: dict | None = None
-_SPOT_CONFIG: dict | None = None
-
-
-def _init_pair_worker(
-    protocol_e: NDProtocol,
-    protocol_f: NDProtocol,
-    horizon: int,
-    model: ReceptionModel,
-    turnaround: int,
-    handle,
-    backend_name: str = "python",
-) -> None:
-    global _PAIR_BACKEND, _PAIR_PARAMS
-    from ..backends import get_backend, SweepParams
-
-    if handle is not None:
-        # Map the parent's pattern segment before the kernel resolves
-        # its caches, so the keyed registry hands out segment-backed
-        # patterns instead of rebuilding (spawn) or CoW-copying (fork).
-        attach_pattern_caches(
-            handle, [(protocol_e, turnaround), (protocol_f, turnaround)]
-        )
-    _PAIR_BACKEND = get_backend(backend_name)
-    _PAIR_PARAMS = SweepParams(
-        protocol_e, protocol_f, horizon, model, turnaround
-    )
-
-
-def _sweep_chunk(offsets: list[int]) -> list[tuple]:
-    """Evaluate one offset chunk in order through the worker's kernel.
-
-    Outcomes travel back in the shared tuple wire format
-    (:func:`repro.backends.base.encode_outcomes`); the parent rebuilds
-    :class:`DiscoveryOutcome` field-for-field, so callers see exactly
-    the serial path's objects.
-    """
-    from ..backends.base import encode_outcomes
-
-    backend = _PAIR_BACKEND
-    assert backend is not None, "worker not initialized"
-    return encode_outcomes(
-        backend.evaluate_offsets_batch(_PAIR_PARAMS, offsets)
-    )
-
-
-def _init_spot_worker(config: dict) -> None:
-    global _SPOT_CONFIG
-    _SPOT_CONFIG = config
 
 
 def _spot_check_replay(
@@ -154,45 +83,13 @@ def _spot_check_replay(
     return analytic, des
 
 
-def _spot_check_one(offset: int) -> tuple[DiscoveryOutcome, DiscoveryOutcome]:
-    """Worker entry point: replay one offset from the initializer config."""
-    config = _SPOT_CONFIG
-    assert config is not None, "worker not initialized"
-    return _spot_check_replay(
-        config["protocol_e"],
-        config["protocol_f"],
-        offset,
-        config["horizon"],
-        config["model"],
-        config["turnaround"],
-    )
-
-
-def _init_network_worker(config: dict) -> None:
-    global _NETWORK_CONFIG
-    _NETWORK_CONFIG = config
-
-
-def _network_one(item: tuple[int, object]):
-    """Run one (global_index, scenario) network simulation.
+def _network_one(config: dict, item: tuple[int, object]):
+    """Run one ``(global_index, scenario)`` network simulation.
 
     The global index rides along only to derive the scenario's
     schedule-invariant seed; result placement uses the index map kept by
     the submitting side.
     """
-    config = _NETWORK_CONFIG
-    assert config is not None, "worker not initialized"
-    return _network_one_cfg(config, item)
-
-
-def _network_chunk(items: list[tuple[int, object]]) -> list:
-    """Run one chunk of (global_index, scenario) network simulations."""
-    return [_network_one(item) for item in items]
-
-
-def _network_one_cfg(config: dict, item: tuple[int, object]):
-    """Initializer-free variant of :func:`_network_one` for persistent
-    pools, whose workers outlive any single grid's configuration."""
     from ..simulation.runner import _run_scenario
 
     global_index, scenario = item
@@ -205,119 +102,47 @@ def _network_one_cfg(config: dict, item: tuple[int, object]):
     )
 
 
-# Timed variants: identical computation wrapped in one perf_counter
-# pair, so per-scenario wall-clock rides back next to the result for
-# cost-model auto-calibration (``map_scenarios(collect_timings=True)``)
-# without perturbing results -- the simulation is seed-deterministic
-# and never reads the clock.
+def _network_one_timed(config: dict, item: tuple[int, object]):
+    """:func:`_network_one` plus its wall-clock, measured where it ran.
 
-
-def _network_one_cfg_timed(config: dict, item: tuple[int, object]):
-    import time
-
-    started = time.perf_counter()
-    result = _network_one_cfg(config, item)
-    return result, time.perf_counter() - started
-
-
-def _network_one_timed(item: tuple[int, object]):
-    import time
-
-    started = time.perf_counter()
-    result = _network_one(item)
-    return result, time.perf_counter() - started
-
-
-def _network_chunk_timed(items: list[tuple[int, object]]) -> list:
-    return [_network_one_timed(item) for item in items]
-
-
-def _steal_merge(scenarios: list, submit) -> list:
-    """The work-stealing discipline, defined once for both pool kinds.
-
-    Submit every scenario index longest-estimated-first through
-    ``submit(index) -> Future`` (idle workers then steal from the
-    pool's shared queue) and merge results back at their grid index --
-    the index-stable merge that keeps scheduling invisible to callers.
+    The simulation is seed-deterministic and never reads the clock, so
+    the timing wrapper cannot perturb results; the seconds feed
+    ``map_scenarios(collect_timings=True)`` cost-weight calibration.
     """
-    order = plan_longest_first(scenarios)
-    results: list = [None] * len(scenarios)
-    futures = {index: submit(index) for index in order}
-    for index, future in futures.items():
-        results[index] = future.result()
-    return results
-
-
-def _estimated_spot_events(protocols, horizon, n_offsets: int) -> float:
-    """Estimated simulated events for a DES spot-check batch.
-
-    Unit weights on purpose: the ``_SPOT_POOL_MIN_EVENTS`` floor is an
-    absolute event-count threshold, and calibrated cost weights
-    (:func:`repro.parallel.use_cost_weights`) are seconds-per-event
-    scales that must only affect scheduling *order*, never whether a
-    batch shards.
-    """
-    return n_offsets * default_simulation_cost(
-        protocols, horizon, weights=(1.0, 1.0)
-    )
-
-
-def _chunk(items: list, n_chunks: int) -> list[list]:
-    """Contiguous, order-preserving partition into at most ``n_chunks``
-    (the one chunking rule, shared with the persistent pool)."""
-    from ..backends.base import chunk_evenly
-
-    return chunk_evenly(items, n_chunks)
+    started = time.perf_counter()
+    result = _network_one(config, item)
+    return result, time.perf_counter() - started
 
 
 class ParallelSweep:
-    """Shard independent evaluations across worker processes.
+    """Run independent evaluations in-process or over the persistent pool.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` uses the CPU count, ``<= 1`` runs the
-        plain serial path in-process.
-    chunks_per_job:
-        Chunks submitted per worker for offset sweeps (smaller chunks
-        balance load, larger ones amortize IPC); the default of 4 keeps
-        every worker busy without measurable pickling overhead.
+        Worker processes; ``None`` uses the CPU count, ``<= 1`` runs
+        everything in-process, ``> 1`` shards over the shared
+        persistent pool of that size.
     mp_context:
-        ``multiprocessing`` start-method name; defaults to ``fork``
-        where available (Linux) and ``spawn`` elsewhere.  Results are
-        identical either way -- workers hold no inherited mutable state.
-    shared_memory:
-        Ship precomputed listening patterns to sweep workers as one
-        int64 ``multiprocessing.shared_memory`` segment (workers map
-        instead of copy).  ``False`` keeps PR-1 behaviour where each
-        worker resolves patterns through its own registry.  Results are
-        bit-identical either way.
-    schedule:
-        Grid scheduling discipline for :meth:`map_scenarios`:
-        ``"steal"`` (default) submits scenarios individually in
-        longest-estimated-first order over the pool's shared queue;
-        ``"chunk"`` keeps PR-1 uniform contiguous chunks.  Results are
-        bit-identical either way -- seeds derive from grid indices and
-        merging is index-stable.
+        ``multiprocessing`` start-method name for the pool; defaults to
+        ``fork`` where available (Linux) and ``spawn`` elsewhere.
+        Results are identical either way -- workers hold no inherited
+        mutable state.
     backend:
-        Sweep-kernel selection (:mod:`repro.backends`): a registered
-        name (``"python"``, ``"numpy"``, ``"pooled"``), ``"auto"``
-        (default: NumPy kernel when importable, python reference
-        otherwise), or a :class:`repro.backends.SweepBackend` instance.
-        ``"pooled"`` replaces the per-sweep worker pool with the shared
-        persistent pool for this ``(jobs, mp_context)`` shape --
-        ``shared_memory`` then has no effect, because persistent
-        workers keep warm pattern registries across sweeps instead.
-        Results are bit-identical for every selection.
+        Sweep-kernel selection (:mod:`repro.backends`): ``"python"``,
+        ``"numpy"``, ``"auto"`` (default: NumPy kernel when importable,
+        python reference otherwise), or a
+        :class:`repro.backends.SweepBackend` instance.  Pool workers run
+        the same kernel by registry name; an unregistered custom kernel
+        instance cannot be shipped by name and runs in-process, and a
+        :class:`repro.backends.PooledBackend` instance is used as the
+        pool itself.  Results are bit-identical for every selection.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        chunks_per_job: int = 4,
         mp_context: str | None = None,
-        shared_memory: bool = True,
-        schedule: str = "steal",
         backend="auto",
     ) -> None:
         if jobs is None:
@@ -325,19 +150,7 @@ class ParallelSweep:
         if jobs < 0:
             raise ValueError(f"jobs must be non-negative, got {jobs}")
         self.jobs = jobs
-        if chunks_per_job < 1:
-            raise ValueError("chunks_per_job must be positive")
-        self.chunks_per_job = chunks_per_job
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
-        self.shared_memory = shared_memory
-        if schedule not in ("steal", "chunk"):
-            raise ValueError(
-                f"schedule must be 'steal' or 'chunk', got {schedule!r}"
-            )
-        self.schedule = schedule
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -353,22 +166,33 @@ class ParallelSweep:
         """
         return cls(
             jobs=profile.jobs,
-            chunks_per_job=profile.chunks_per_job,
             mp_context=profile.mp_context,
-            shared_memory=profile.shared_memory,
-            schedule=profile.schedule,
             backend=profile.backend,
         )
 
     # ------------------------------------------------------------------
     def _resolve_backend(self):
-        """The kernel instance this sweep runs (pooled pools are shared
-        per shape, so repeated sweeps reuse warm workers)."""
-        from ..backends import resolve_backend
+        """The backend this engine runs: the in-process kernel for
+        ``jobs <= 1``, the shared persistent pool over that kernel for
+        ``jobs > 1`` (shared per shape, so repeated sweeps reuse warm
+        workers)."""
+        from ..backends import get_pooled_backend, resolve_backend
+        from ..backends.base import is_registered
 
-        return resolve_backend(
-            self.backend, jobs=self.jobs, mp_context=self.mp_context
-        )
+        kernel = resolve_backend(self.backend)
+        if self.jobs <= 1 or not is_registered(kernel.name):
+            return kernel
+        return get_pooled_backend(kernel.name, self.jobs, self.mp_context)
+
+    def _pool(self):
+        """The persistent pool to shard DES work over, or ``None`` when
+        this engine runs in-process."""
+        from ..backends.pooled import PooledBackend
+
+        resolved = self._resolve_backend()
+        if isinstance(resolved, PooledBackend) and resolved.jobs > 1:
+            return resolved
+        return None
 
     # ------------------------------------------------------------------
     def sweep_offsets(
@@ -380,8 +204,8 @@ class ParallelSweep:
         model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
     ) -> SweepReport:
-        """Parallel :func:`repro.simulation.analytic.sweep_offsets`,
-        bit-identical to the serial call."""
+        """:func:`repro.simulation.analytic.sweep_offsets` through the
+        selected kernel, bit-identical to the serial call."""
         return summarize_outcomes(
             self.evaluate_offsets(
                 protocol_e, protocol_f, offsets, horizon, model, turnaround
@@ -398,67 +222,14 @@ class ParallelSweep:
         model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
     ) -> list[DiscoveryOutcome]:
-        """Parallel :func:`repro.simulation.analytic.evaluate_offsets`:
-        per-offset outcomes in input order, merged from chunk results in
-        chunk-index order."""
+        """:func:`repro.simulation.analytic.evaluate_offsets` through the
+        selected kernel: per-offset outcomes in input order."""
         from ..backends import SweepParams
-        from ..backends.pooled import PooledBackend
 
-        offsets = list(offsets)
-        params = SweepParams(protocol_e, protocol_f, horizon, model, turnaround)
-        resolved = self._resolve_backend()
-        if isinstance(resolved, PooledBackend):
-            # The persistent pool is its own sharding executor; it
-            # lazily boots workers on first sharded batch and keeps
-            # their pattern registries warm across sweeps.  The
-            # chunks_per_job knob rides along per call, since the
-            # pooled instance itself is shared across sweeps.
-            return resolved.evaluate_offsets_batch(
-                params, offsets, chunks_per_job=self.chunks_per_job
-            )
-        if self.jobs <= 1 or len(offsets) < 2:
-            # In-process path still goes through the selected kernel:
-            # same results, and callers get the pattern (and, under
-            # auto-detection, the vectorization) speedup without any
-            # pool overhead.
-            return resolved.evaluate_offsets_batch(params, offsets)
-        from ..backends.base import is_registered
-
-        if not is_registered(resolved.name):
-            # A custom unregistered kernel instance cannot be resolved
-            # by name inside workers; let it run (and shard) itself.
-            return resolved.evaluate_offsets_batch(params, offsets)
-        chunks = _chunk(offsets, self.jobs * self.chunks_per_job)
-        ctx = multiprocessing.get_context(self.mp_context)
-        with SharedPatternStore() as store:
-            handle = None
-            if self.shared_memory:
-                # Build (or registry-hit) the patterns once in the
-                # parent and publish them; workers map the segment.
-                caches = {
-                    protocol_fingerprint(receiver, turnaround):
-                        get_listening_cache(receiver, turnaround)
-                    for receiver in (protocol_e, protocol_f)
-                }
-                handle = store.publish(caches)
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=ctx,
-                initializer=_init_pair_worker,
-                initargs=(
-                    protocol_e, protocol_f, horizon, model, turnaround,
-                    handle, resolved.name,
-                ),
-            ) as pool:
-                from ..backends.base import decode_outcomes
-
-                # pool.map yields chunk results in submission order, so
-                # flattening preserves the input offset order exactly.
-                return decode_outcomes(
-                    row
-                    for chunk in pool.map(_sweep_chunk, chunks)
-                    for row in chunk
-                )
+        return self._resolve_backend().evaluate_offsets_batch(
+            SweepParams(protocol_e, protocol_f, horizon, model, turnaround),
+            list(offsets),
+        )
 
     # ------------------------------------------------------------------
     def spot_check_pairs(
@@ -472,68 +243,29 @@ class ParallelSweep:
     ) -> list[tuple[DiscoveryOutcome, DiscoveryOutcome]]:
         """Per-offset ``(analytic, DES)`` outcome pairs, in input order.
 
-        The DES replays dominate ``verified_worst_case`` once sweeps are
-        fast; each offset is an independent simulation, so they shard
-        one-per-submission like the work-stealing grid path.  Both the
-        serial and the pooled path run identical computations per
-        offset, so the result list is independent of ``jobs``.
-
-        Batches whose estimated simulated-event count falls below
-        ``_SPOT_POOL_MIN_EVENTS`` run in-process regardless of ``jobs``:
-        short replays (small horizons, sparse schedules, few offsets)
-        finish serially faster than a pool can boot.  Long-horizon
-        validations -- where the replays actually dominate -- clear the
-        floor and shard.  With ``backend="pooled"`` the floor does not
-        apply: the persistent pool's startup is already paid (or about
-        to be amortized over the session), so every multi-offset batch
-        shards over its warm workers.
+        The DES replays dominate ``Session.worst_case`` once sweeps are
+        fast; each offset is an independent simulation, so with a pool
+        they shard one-per-submission like the work-stealing grid path.
+        Both paths run the identical computation per offset, so the
+        result list is independent of ``jobs``.
         """
-        from ..backends.pooled import PooledBackend
-
         offsets = list(offsets)
-        resolved = self._resolve_backend()
-        if (
-            isinstance(resolved, PooledBackend)
-            and resolved.jobs > 1
-            and len(offsets) >= 2
-        ):
-            futures = [
-                resolved.submit(
-                    _spot_check_replay,
-                    protocol_e, protocol_f, offset, horizon, model, turnaround,
-                )
-                for offset in offsets
-            ]
-            return [future.result() for future in futures]
-        estimated_events = _estimated_spot_events(
-            [protocol_e, protocol_f], horizon, len(offsets)
-        )
-        if (
-            self.jobs <= 1
-            or len(offsets) < 2
-            or estimated_events < _SPOT_POOL_MIN_EVENTS
-        ):
+        pool = self._pool()
+        if pool is None or len(offsets) < 2:
             return [
                 _spot_check_replay(
                     protocol_e, protocol_f, offset, horizon, model, turnaround
                 )
                 for offset in offsets
             ]
-        config = {
-            "protocol_e": protocol_e,
-            "protocol_f": protocol_f,
-            "horizon": horizon,
-            "model": model,
-            "turnaround": turnaround,
-        }
-        ctx = multiprocessing.get_context(self.mp_context)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(offsets)),
-            mp_context=ctx,
-            initializer=_init_spot_worker,
-            initargs=(config,),
-        ) as pool:
-            return list(pool.map(_spot_check_one, offsets))
+        futures = [
+            pool.submit(
+                _spot_check_replay,
+                protocol_e, protocol_f, offset, horizon, model, turnaround,
+            )
+            for offset in offsets
+        ]
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def map_scenarios(
@@ -548,99 +280,39 @@ class ParallelSweep:
         """Run one network simulation per scenario, in input order.
 
         Each scenario's RNG seed derives from its global index, so the
-        returned list is identical whatever ``jobs``, ``schedule`` or
-        ``backend`` is (including the in-process serial path used for
-        ``jobs <= 1``).  With ``backend="pooled"`` the grid reuses the
-        persistent worker pool (always in work-stealing submission
-        order -- there is no per-grid initializer to chunk around), so
-        successive small grids stop paying pool startup.
+        returned list is identical whatever ``jobs`` is.  With a pool,
+        scenarios are submitted individually longest-estimated-first
+        (idle workers steal from the pool's shared queue) and merged
+        back at their grid index.
 
         ``collect_timings=True`` returns ``(results, seconds)`` instead:
-        per-scenario wall-clock measured *inside* the worker that ran
+        per-scenario wall-clock measured *inside* the process that ran
         each scenario, grid-ordered like the results.  This feeds
         :meth:`repro.api.Session.grid`'s cost-weight auto-calibration;
-        the results list is bit-identical either way (the timing wrapper
-        only reads the clock around an unchanged computation).
+        the results list is bit-identical either way.
         """
-        from ..backends.pooled import PooledBackend
-        from ..simulation.runner import _run_scenario
-
         scenarios = list(scenarios)
-        if self.jobs <= 1 or len(scenarios) < 2:
-            import time
-
-            timed: list[tuple] = []
-            for i, scenario in enumerate(scenarios):
-                started = time.perf_counter()
-                result = _run_scenario(
-                    scenario,
-                    seed=derive_seed(base_seed, i),
-                    reception_model=reception_model,
-                    turnaround=turnaround,
-                    advertising_jitter=advertising_jitter,
-                )
-                timed.append((result, time.perf_counter() - started))
-            return self._split_timings(timed, collect_timings)
         config = {
             "base_seed": base_seed,
             "reception_model": reception_model,
             "turnaround": turnaround,
             "advertising_jitter": advertising_jitter,
         }
-        resolved = self._resolve_backend()
-        if isinstance(resolved, PooledBackend) and resolved.jobs > 1:
-            worker = _network_one_cfg_timed if collect_timings else _network_one_cfg
-            merged = _steal_merge(
-                scenarios,
-                lambda index: resolved.submit(
-                    worker, config, (index, scenarios[index])
-                ),
-            )
-            return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-        ctx = multiprocessing.get_context(self.mp_context)
-        if self.schedule == "chunk":
-            chunks = _chunk(
-                list(enumerate(scenarios)), self.jobs * self.chunks_per_job
-            )
-            chunk_worker = (
-                _network_chunk_timed if collect_timings else _network_chunk
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=ctx,
-                initializer=_init_network_worker,
-                initargs=(config,),
-            ) as pool:
-                merged = [
-                    result
-                    for chunk in pool.map(chunk_worker, chunks)
-                    for result in chunk
-                ]
-            return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-        # Work stealing: submit longest-estimated-first, one scenario
-        # per task, and let idle workers pull from the shared queue;
-        # results land back at their grid index.
-        one_worker = _network_one_timed if collect_timings else _network_one
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(scenarios)),
-            mp_context=ctx,
-            initializer=_init_network_worker,
-            initargs=(config,),
-        ) as pool:
-            merged = _steal_merge(
-                scenarios,
-                lambda index: pool.submit(
-                    one_worker, (index, scenarios[index])
-                ),
-            )
-        return self._split_timings(merged, collect_timings, wrapped=collect_timings)
-
-    @staticmethod
-    def _split_timings(items: list, collect_timings: bool, wrapped: bool = True):
-        """Unzip ``(result, seconds)`` pairs when timings were requested;
-        otherwise return the bare result list unchanged."""
+        pool = self._pool()
+        if pool is None or len(scenarios) < 2:
+            timed = [
+                _network_one_timed(config, item)
+                for item in enumerate(scenarios)
+            ]
+        else:
+            futures = {
+                index: pool.submit(
+                    _network_one_timed, config, (index, scenarios[index])
+                )
+                for index in plan_longest_first(scenarios)
+            }
+            timed = [futures[index].result() for index in sorted(futures)]
+        results = [result for result, _ in timed]
         if not collect_timings:
-            return [item[0] for item in items] if wrapped else items
-        results = [result for result, _ in items]
-        seconds = [seconds for _, seconds in items]
-        return results, seconds
+            return results
+        return results, [seconds for _, seconds in timed]

@@ -19,9 +19,9 @@ killing the service):
 * **Dispatch**: a priority queue (higher ``priority`` first, FIFO
   within a level) feeds ``workers`` asyncio worker tasks.
 * **Compute**: each worker runs jobs through a thread-local sibling
-  :class:`~repro.api.Session` (one per executor thread --
-  ``Session.worker()`` semantics: shared store instance, shared
-  refcounted pooled backend) via ``loop.run_in_executor``, under an
+  :class:`~repro.api.Session` (one per executor thread: shared store
+  instance and, for ``jobs > 1``, the shared refcounted persistent
+  pool) via ``loop.run_in_executor``, under an
   optional per-job timeout.
 * **Recovery**: crash-class failures (a SIGKILLed pool child surfacing
   as ``BrokenProcessPool``, broken pipes, timeouts) re-queue the job
@@ -59,7 +59,7 @@ from ..api.session import Session
 from ..api.spec import build_grid, RunSpec, RuntimeProfile, SpecError
 from ..backends.pooled import PooledBackend
 from ..campaign.campaign import VERBS
-from ..parallel.executor import _network_one_cfg
+from ..parallel.executor import _network_one
 from .jobs import (
     DONE,
     FAILED,
@@ -554,8 +554,8 @@ class SweepService:
         )
 
     def _thread_session(self) -> Session:
-        """This executor thread's sibling session (``Session.worker()``
-        semantics: shared store instance, shared pooled backend)."""
+        """This executor thread's sibling session (shared store
+        instance; for ``jobs > 1`` the shared persistent pool)."""
         session = getattr(self._local, "session", None)
         if session is None or session.closed:
             session = Session(self.profile, store=self.store)
@@ -630,10 +630,10 @@ class SweepService:
                 continue
             if pooled:
                 result = backend.submit(
-                    _network_one_cfg, config, (index, scenario)
+                    _network_one, config, (index, scenario)
                 ).result()
             else:
-                result = _network_one_cfg(config, (index, scenario))
+                result = _network_one(config, (index, scenario))
             job.checkpoint[index] = result
             results.append(result)
             self._emit_threadsafe(

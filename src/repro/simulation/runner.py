@@ -426,11 +426,6 @@ def _select_spot_check_offsets(
     return sorted(chosen)
 
 
-#: Sentinel distinguishing "caller left the runtime kwarg alone" from an
-#: explicit value -- only explicit legacy runtime plumbing deprecation-warns.
-_UNSET = object()
-
-
 def _des_mismatches(checks) -> list[int]:
     """Offsets where the event-driven replay contradicts the analytic
     outcome (either discovery direction)."""
@@ -500,8 +495,8 @@ def _verified_worst_case_impl(
     analytic_upper=None,
 ) -> PairWorstCase:
     """The worst-case verification engine behind
-    :meth:`repro.api.Session.worst_case` (and, through it, the legacy
-    :func:`verified_worst_case` shim).
+    :meth:`repro.api.Session.worst_case` (and, through it,
+    :func:`verified_worst_case`).
 
     Two paths, selected by ``budget_ms``:
 
@@ -770,46 +765,29 @@ def verified_worst_case(
     max_critical: int = 200_000,
     des_spot_checks: int = 16,
     fallback_samples: int = 4096,
-    jobs=_UNSET,
-    backend=_UNSET,
 ) -> PairWorstCase:
     """Exact worst-case latency over all phase offsets, cross-validated.
 
-    Thin shim over :meth:`repro.api.Session.worst_case`, kept for the
-    pre-Session call shape.  The per-call runtime kwargs (``jobs``,
-    ``backend``) are **deprecated**: passing them warns
-    (:class:`repro.api.LegacyRuntimeAPIWarning`) and routes through a
-    shared legacy session for that runtime shape -- configure a
-    :class:`repro.api.RuntimeProfile` once instead.  Results are
-    bit-identical to every prior release for every ``jobs``/``backend``
-    combination.
+    A default :class:`repro.api.Session` running
+    :meth:`~repro.api.Session.worst_case` -- the runtime (kernel,
+    ``jobs``) comes from :meth:`repro.api.RuntimeProfile.default`; open a
+    ``Session`` with an explicit profile to choose it.
     """
-    from ..api import RunSpec
-    from ..api._compat import legacy_session, warn_legacy
+    from ..api import RunSpec, Session
 
-    jobs = 1 if jobs is _UNSET else jobs
-    backend = "auto" if backend is _UNSET else backend
-    # Only *non-default* runtime plumbing warns: explicitly restating
-    # the documented defaults (jobs=1, backend="auto") requests nothing
-    # and must not start raising under -W error lanes.
-    if jobs != 1 or backend != "auto":
-        warn_legacy(
-            "verified_worst_case(jobs=..., backend=...)",
-            "repro.api.Session.worst_case",
-        )
-    session = legacy_session(jobs=jobs, backend=backend)
-    return session.worst_case(
-        RunSpec(
-            pair=(protocol_e, protocol_f),
-            horizon=horizon,
-            omega=omega,
-            model=reception_model.value,
-            turnaround=turnaround,
-            max_critical=max_critical,
-            des_spot_checks=des_spot_checks,
-            fallback_samples=fallback_samples,
-        )
-    ).raw
+    with Session() as session:
+        return session.worst_case(
+            RunSpec(
+                pair=(protocol_e, protocol_f),
+                horizon=horizon,
+                omega=omega,
+                model=reception_model.value,
+                turnaround=turnaround,
+                max_critical=max_critical,
+                des_spot_checks=des_spot_checks,
+                fallback_samples=fallback_samples,
+            )
+        ).raw
 
 
 def _run_scenario(
@@ -839,62 +817,29 @@ def _run_scenario(
 
 def sweep_network_grid(
     scenarios,
-    jobs=_UNSET,
     base_seed: int = 0,
     reception_model: ReceptionModel = ReceptionModel.POINT,
     turnaround: int = 0,
     advertising_jitter: int = 0,
-    schedule=_UNSET,
-    backend=_UNSET,
 ) -> list[NetworkResult]:
     """Run every scenario of a grid through the event-driven simulator.
 
-    Thin shim over :meth:`repro.api.Session.grid`, kept for the
-    pre-Session call shape.  Results come back in input order; each
-    scenario's RNG seed derives from ``(base_seed, its grid index)`` via
-    :func:`repro.parallel.derive_seed`, so the output is bit-identical
-    for any ``jobs`` value, either ``schedule`` discipline and any
-    ``backend`` -- scheduling is invisible to the RNG.
-
-    The per-call runtime kwargs (``jobs``, ``schedule``, ``backend``)
-    are **deprecated**: passing them warns
-    (:class:`repro.api.LegacyRuntimeAPIWarning`) and routes through a
-    shared legacy session for that runtime shape -- configure a
-    :class:`repro.api.RuntimeProfile` once instead.  Legacy semantics
-    are preserved exactly, including the :attr:`Scenario.backend`
-    unanimous-preference resolution when no backend is given.
+    A default :class:`repro.api.Session` running
+    :meth:`~repro.api.Session.grid`.  Results come back in input order;
+    each scenario's RNG seed derives from ``(base_seed, its grid
+    index)`` via :func:`repro.parallel.derive_seed`, so the output is
+    bit-identical for any ``jobs`` -- scheduling is invisible to the
+    RNG.
     """
-    from ..api import RunSpec
-    from ..api._compat import legacy_session, warn_legacy
+    from ..api import RunSpec, Session
 
-    scenarios = list(scenarios)
-    # Only *non-default* runtime plumbing warns: explicitly restating
-    # the documented defaults (jobs=1, schedule="steal", backend=None)
-    # requests nothing and must not start raising under -W error lanes.
-    runtime_given = (
-        jobs not in (_UNSET, 1)
-        or schedule not in (_UNSET, "steal")
-        or backend not in (_UNSET, None)
-    )
-    jobs = 1 if jobs is _UNSET else jobs
-    schedule = "steal" if schedule is _UNSET else schedule
-    if backend is _UNSET or backend is None:
-        hints = {
-            getattr(scenario, "backend", None) for scenario in scenarios
-        } - {None}
-        backend = hints.pop() if len(hints) == 1 else "auto"
-    if runtime_given:
-        warn_legacy(
-            "sweep_network_grid(jobs=..., schedule=..., backend=...)",
-            "repro.api.Session.grid",
-        )
-    session = legacy_session(jobs=jobs, schedule=schedule, backend=backend)
-    return session.grid(
-        RunSpec(
-            grid=scenarios,
-            seed=base_seed,
-            model=reception_model.value,
-            turnaround=turnaround,
-            advertising_jitter=advertising_jitter,
-        )
-    ).raw
+    with Session() as session:
+        return session.grid(
+            RunSpec(
+                grid=list(scenarios),
+                seed=base_seed,
+                model=reception_model.value,
+                turnaround=turnaround,
+                advertising_jitter=advertising_jitter,
+            )
+        ).raw

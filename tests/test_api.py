@@ -1,10 +1,8 @@
 """Unit tests of the declarative config layer (:mod:`repro.api.spec`)
 and the result provenance layer (:mod:`repro.api.result`).
 
-This file (with ``test_api_session.py``) is the **facade-only** test
-subset: CI runs it under ``-W error::DeprecationWarning``, so nothing
-here may touch a legacy shim -- every call goes through
-:class:`repro.api.Session` or the spec/profile/result classes directly.
+Every call goes through :class:`repro.api.Session` or the
+spec/profile/result classes directly.
 """
 
 import json
@@ -90,10 +88,7 @@ class TestRuntimeProfileSerialization:
         profile = RuntimeProfile(
             backend="python",
             jobs=3,
-            schedule="chunk",
             mp_context="spawn",
-            chunks_per_job=2,
-            shared_memory=False,
             cache_limit=8,
             cache_policy="release",
             cost_weights=(3e-6, 7e-6),
@@ -103,13 +98,21 @@ class TestRuntimeProfileSerialization:
         assert clone == profile
         assert clone.cost_weights == (3e-6, 7e-6)  # tuple restored
 
-    def test_unknown_field_rejected(self):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"backend": "auto", "gpu": True},
+            # Removed knobs are unknown fields now, not silently ignored.
+            {"schedule": "chunk"},
+            {"chunks_per_job": 2},
+            {"shared_memory": False},
+        ],
+    )
+    def test_unknown_field_rejected(self, payload):
         with pytest.raises(SpecError, match="unknown RuntimeProfile field"):
-            RuntimeProfile.from_dict({"backend": "auto", "gpu": True})
+            RuntimeProfile.from_dict(payload)
 
     def test_validation(self):
-        with pytest.raises(SpecError):
-            RuntimeProfile(schedule="lifo")
         with pytest.raises(SpecError):
             RuntimeProfile(cache_policy="hoard")
         with pytest.raises(SpecError):
@@ -138,11 +141,14 @@ class TestRuntimeProfileSerialization:
         with pytest.raises(SpecError, match="field value"):
             RunSpec(samples="many")
 
-    def test_unknown_backend_name_is_a_config_error(self):
+    @pytest.mark.parametrize("name", ["bogus", "pooled", "native"])
+    def test_unknown_backend_name_is_a_config_error(self, name):
+        """Only auto/python/numpy are selectable; the retired pooled and
+        native names are config errors like any typo."""
         from repro.api import Session
 
-        with Session(RuntimeProfile(backend="bogus")) as session:
-            with pytest.raises(SpecError, match="bogus"):
+        with Session(RuntimeProfile(backend=name)) as session:
+            with pytest.raises(SpecError, match=name):
                 session.sweep(RunSpec(pair={"kind": "symmetric", "eta": 0.05},
                                       samples=8))
 
@@ -165,11 +171,9 @@ class TestRuntimeProfileSerialization:
     def test_default_honours_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_SCHEDULE", "chunk")
         profile = RuntimeProfile.default()
         assert profile.backend == "python"
         assert profile.jobs == 2
-        assert profile.schedule == "chunk"
 
     def test_default_loads_profile_file_from_env(self, monkeypatch, tmp_path):
         path = tmp_path / "profile.toml"

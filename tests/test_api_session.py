@@ -1,9 +1,8 @@
 """Tests of the :class:`repro.api.Session` facade lifecycle.
 
-Part of the **facade-only** subset (run in CI under
-``-W error::DeprecationWarning``): everything here uses the Session
-verbs and the spec/profile layer exclusively -- a legacy shim sneaking
-into any code path these tests exercise fails the lane.
+Everything here uses the Session verbs and the spec/profile layer
+exclusively.  A ``jobs > 1`` session owns the shared persistent pool
+for its shape; these tests pin that ownership.
 """
 
 import os
@@ -12,7 +11,7 @@ import time
 import pytest
 
 from repro.api import RunSpec, RuntimeProfile, Session
-from repro.backends import get_pooled_backend, PooledBackend
+from repro.backends import have_numpy, PooledBackend
 from repro.backends.pooled import shutdown_pooled_backends
 from repro.parallel import (
     cost_weights,
@@ -104,33 +103,6 @@ class TestSessionBasics:
 
         assert RunResult.from_json(result.to_json()) == result
 
-    def test_worker_shares_profile_and_store(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        with Session(RuntimeProfile(jobs=1), store=store) as session:
-            worker = session.worker()
-            try:
-                assert worker is not session
-                assert worker.profile is session.profile
-                assert worker.store is session.store
-                result = worker.sweep(_sweep_spec())
-                assert result.store_meta["hit"] is False
-            finally:
-                worker.close()
-            # The parent sees the worker's write-back through the
-            # shared store instance.
-            hit = session.sweep(_sweep_spec())
-            assert hit.store_meta["hit"] is True
-            # Closing the worker did not close the parent.
-            assert not session.closed
-
-    def test_worker_of_closed_session_raises(self):
-        session = Session(RuntimeProfile(jobs=1))
-        session.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            session.worker()
-
 
 class TestSessionPoolLifecycle:
     def setup_method(self):
@@ -140,7 +112,7 @@ class TestSessionPoolLifecycle:
         shutdown_pooled_backends()
 
     def test_exit_shuts_down_session_pool(self):
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
             backend = session.backend
@@ -154,7 +126,7 @@ class TestSessionPoolLifecycle:
         """Two nested sessions on one profile share one pool; the inner
         exit must neither kill the outer's workers nor the outer exit
         double-shutdown -- the satellite regression."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as outer:
             outer.sweep(_sweep_spec())
             backend = outer.backend
@@ -178,7 +150,7 @@ class TestSessionPoolLifecycle:
         """A retained backend whose pool never booted must also have its
         retain state cleared by a force shutdown -- otherwise its stale
         reference keeps a later session's pool alive."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         stale = Session(profile)
         backend = stale.backend  # retained, but no pool booted yet
         assert not backend.started and backend.session_refs == 1
@@ -196,7 +168,7 @@ class TestSessionPoolLifecycle:
         its own (later) close, decrement a reference taken by a session
         created *after* the shutdown -- retain tokens are voided by
         generation."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         stale = Session(profile)
         stale.sweep(_sweep_spec())
         backend = stale.backend
@@ -216,7 +188,7 @@ class TestSessionPoolLifecycle:
     def test_force_shutdown_then_session_exit_is_safe(self):
         """shutdown_pooled_backends() is idempotent and clears retain
         counts, so a session exiting afterwards is a clean no-op."""
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         session = Session(profile)
         session.sweep(_sweep_spec())
         backend = session.backend
@@ -246,7 +218,7 @@ class TestSessionLeaksNothing:
         shm_dir = "/dev/shm"
         can_watch_shm = os.path.isdir(shm_dir)
         before_shm = set(os.listdir(shm_dir)) if can_watch_shm else set()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
             session.grid(_grid_spec())
@@ -255,6 +227,53 @@ class TestSessionLeaksNothing:
                         omega=32, des_spot_checks=4)
             )
             pids = _worker_pids(session.backend)
+        _assert_processes_exit(pids)
+        assert not multiprocessing.active_children()
+        if can_watch_shm:
+            leaked = set(os.listdir(shm_dir)) - before_shm
+            assert not leaked, f"shared-memory segments leaked: {leaked}"
+
+    @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
+    def test_jobs_two_runs_every_verb_on_one_pool(self, monkeypatch):
+        """``jobs`` alone picks the execution path: under
+        ``Session(jobs=2, backend="numpy")`` a sweep, a worst case with
+        DES spot checks and a grid construct exactly one
+        ``ProcessPoolExecutor`` between them, return exactly the
+        ``jobs=1`` results, and leave no child process or shared-memory
+        segment behind."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        shutdown_pooled_backends()
+        worst_spec = RunSpec(pair={"kind": "symmetric", "eta": 0.05},
+                             omega=32, des_spot_checks=4)
+        with Session(jobs=1, backend="numpy") as session:
+            expected = [
+                session.sweep(_sweep_spec()).raw,
+                session.worst_case(worst_spec).raw,
+                session.grid(_grid_spec()).raw,
+            ]
+
+        constructed = []
+        original_init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        shm_dir = "/dev/shm"
+        can_watch_shm = os.path.isdir(shm_dir)
+        before_shm = set(os.listdir(shm_dir)) if can_watch_shm else set()
+        with Session(jobs=2, backend="numpy") as session:
+            got = [
+                session.sweep(_sweep_spec()).raw,
+                session.worst_case(worst_spec).raw,
+                session.grid(_grid_spec()).raw,
+            ]
+            pids = [child.pid for child in multiprocessing.active_children()]
+        assert len(constructed) == 1
+        assert got == expected
         _assert_processes_exit(pids)
         assert not multiprocessing.active_children()
         if can_watch_shm:
@@ -283,7 +302,7 @@ class TestPooledPatternArena:
 
     def test_arena_reuse_across_sweeps_and_zero_leaks(self):
         before_shm = self._shm_listing()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             session.sweep(_sweep_spec())
             backend = session.backend
@@ -321,7 +340,7 @@ class TestPooledPatternArena:
 
     def test_force_shutdown_mid_session_releases_arena(self):
         before_shm = self._shm_listing()
-        profile = RuntimeProfile(backend="pooled", jobs=2)
+        profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
             expected = session.sweep(_sweep_spec()).raw
             backend = session.backend
@@ -355,9 +374,7 @@ class TestPooledPatternArena:
         spec = _sweep_spec()
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             expected = session.sweep(spec).raw
-        profile = RuntimeProfile(
-            backend="pooled", jobs=2, mp_context="spawn"
-        )
+        profile = RuntimeProfile(jobs=2, mp_context="spawn")
         with Session(profile) as session:
             got = session.sweep(spec)
             assert session.backend.arena is not None

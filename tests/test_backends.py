@@ -1,18 +1,15 @@
 """Unit tests of the pluggable sweep-backend layer.
 
 Registry semantics (names, auto-detection, unavailability errors), the
-NumPy and Numba import-guard shims (including simulated dependency-less
-environments, so every fallback path is exercised on machines that do
-have the extras), kernel fallback behaviour on non-vectorizable inputs,
-the native compiled kernel's exact arithmetic (its kernels run un-jitted
-as plain Python without Numba, so bit-identity is pinned here in every
-environment), the incremental strided-sweep engine and its gates, the
+NumPy import-guard shim (including a simulated NumPy-less environment,
+so every fallback path is exercised on machines that do have the
+extra), kernel fallback behaviour on non-vectorizable inputs, the exact
+arithmetic of every kernel instance, the incremental strided-sweep engine and its gates, the
 ``ListeningCache.pattern_arrays()`` accessor, the cost-model calibration
 helpers, and CLI threading of ``--backend``.
 """
 
 import math
-import types
 
 import pytest
 
@@ -21,10 +18,7 @@ from repro.backends import (
     BackendUnavailable,
     default_backend_name,
     get_backend,
-    have_numba,
     have_numpy,
-    NativeBackend,
-    numba_version,
     numpy_version,
     NumpyBackend,
     PooledBackend,
@@ -33,7 +27,7 @@ from repro.backends import (
     SweepBackend,
     SweepParams,
 )
-from repro.backends import _np, _numba
+from repro.backends import _np
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import ParallelSweep
@@ -45,7 +39,12 @@ from repro.parallel.schedule import (
     use_cost_weights,
 )
 from repro.simulation import evaluate_offsets, ReceptionModel, sweep_offsets
-from repro.workloads import dense_network, Scenario, symmetric_pair
+from repro.workloads import dense_network, symmetric_pair
+
+
+def _kernel(name):
+    """An in-process engine running kernel ``name``."""
+    return ParallelSweep(jobs=1, backend=name)
 
 
 def _small_pair():
@@ -57,18 +56,16 @@ def _small_pair():
 class TestRegistry:
     def test_registered_names(self):
         names = available_backends()
-        assert "python" in names
-        assert "pooled" in names
-        assert ("numpy" in names) == have_numpy()
-        assert ("native" in names) == (have_numba() and have_numpy())
+        assert names == ["python", "numpy"] if have_numpy() else ["python"]
 
     def test_get_backend_returns_shared_instances(self):
         assert get_backend("python") is get_backend("python")
         assert isinstance(get_backend("python"), PythonBackend)
 
-    def test_unknown_name_raises_with_candidates(self):
+    @pytest.mark.parametrize("name", ["cuda", "pooled", "native"])
+    def test_unknown_name_raises_with_candidates(self, name):
         with pytest.raises(KeyError, match="python"):
-            get_backend("cuda")
+            get_backend(name)
 
     def test_resolve_auto_and_none_follow_detection(self):
         expected = default_backend_name()
@@ -79,27 +76,18 @@ class TestRegistry:
         backend = PythonBackend()
         assert resolve_backend(backend) is backend
 
-    def test_resolve_pooled_honours_shape(self):
-        backend = resolve_backend("pooled", jobs=2)
-        assert isinstance(backend, PooledBackend)
-        assert backend.jobs == 2
-        assert resolve_backend("pooled", jobs=2) is backend
-
     def test_pooled_inner_kernel_tracks_numpy_availability(self, monkeypatch):
-        """Resolving 'pooled' must re-detect the inner kernel per call,
-        not pin the first call's auto-detection forever."""
-        before = get_backend("pooled").inner
+        """A ``jobs > 1`` engine re-detects its pool's inner kernel per
+        resolution, not pinning the first call's auto-detection."""
+        before = ParallelSweep(jobs=2)._resolve_backend().inner
         assert before == default_backend_name()
         monkeypatch.setattr(_np, "np", None)
-        assert get_backend("pooled").inner == "python"
+        assert ParallelSweep(jobs=2)._resolve_backend().inner == "python"
 
 
 class TestNumpyGuard:
     def test_auto_detection_prefers_fastest_available(self):
-        if have_numba() and have_numpy():
-            assert default_backend_name() == "native"
-            assert numba_version()
-        elif have_numpy():
+        if have_numpy():
             assert default_backend_name() == "numpy"
             assert numpy_version()
         else:
@@ -117,8 +105,8 @@ class TestNumpyGuard:
         # The whole sweep stack still works on the fallback kernel.
         protocol, offsets, horizon = _small_pair()
         serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        auto = evaluate_offsets(
-            protocol, protocol, offsets, horizon, backend="auto"
+        auto = _kernel("auto").evaluate_offsets(
+            protocol, protocol, offsets, horizon
         )
         assert auto == serial
 
@@ -127,8 +115,8 @@ class TestNumpyGuard:
             pytest.skip("NumPy extra not installed")
         protocol, offsets, horizon = _small_pair()
         serial = sweep_offsets(protocol, protocol, offsets, horizon)
-        assert sweep_offsets(
-            protocol, protocol, offsets, horizon, backend="numpy"
+        assert _kernel("numpy").sweep_offsets(
+            protocol, protocol, offsets, horizon
         ) == serial
 
 
@@ -140,8 +128,8 @@ class TestNumpyKernelFallbacks:
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, **kwargs
         )
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, backend="numpy", **kwargs
+        got = _kernel("numpy").evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon, **kwargs
         )
         assert got == serial
 
@@ -170,8 +158,8 @@ class TestNumpyKernelFallbacks:
 
     def test_empty_offsets(self):
         protocol, _, horizon = _small_pair()
-        assert evaluate_offsets(
-            protocol, protocol, [], horizon, backend="numpy"
+        assert _kernel("numpy").evaluate_offsets(
+            protocol, protocol, [], horizon
         ) == []
 
     def test_below_threshold_queries_with_turnaround(self):
@@ -184,108 +172,64 @@ class TestNumpyKernelFallbacks:
             self._check(protocol, protocol, offsets[:16], horizon, model=model)
 
 
-def _fake_numba(monkeypatch):
-    """Simulate an importable Numba without compiling anything.
+_NEEDS_NUMPY = pytest.mark.skipif(
+    not have_numpy(), reason="NumPy extra not installed"
+)
 
-    ``jit_or_pyfunc`` ran at import time, so the native kernels are
-    already plain Python here; a stand-in module object is enough to
-    flip every availability gate to the native tier.
-    """
-    monkeypatch.setattr(
-        _numba, "numba", types.SimpleNamespace(__version__="0.0-stub")
-    )
-
-
-def _pyfunc_native(use_incremental=True):
-    """A NativeBackend running its kernels un-jitted, constructible
-    without Numba (bypasses the availability check only)."""
-    backend = NativeBackend.__new__(NativeBackend)
-    backend.use_incremental = use_incremental
-    backend._numpy = NumpyBackend(use_incremental=use_incremental)
-    return backend
+#: Every selectable kernel instance, the numpy kernel with and without
+#: its incremental strided-sweep engine.
+KERNELS = [
+    pytest.param(PythonBackend, id="python"),
+    pytest.param(NumpyBackend, id="numpy", marks=_NEEDS_NUMPY),
+    pytest.param(
+        lambda: NumpyBackend(use_incremental=False),
+        id="numpy-batch",
+        marks=_NEEDS_NUMPY,
+    ),
+]
 
 
-class TestNumbaGuard:
-    def test_simulated_numba_absence_falls_back(self, monkeypatch):
-        monkeypatch.setattr(_numba, "numba", None)
-        assert not have_numba()
-        assert numba_version() is None
-        assert "native" not in available_backends()
-        assert default_backend_name() == (
-            "numpy" if have_numpy() else "python"
-        )
-        with pytest.raises(BackendUnavailable, match="native"):
-            get_backend("native")
+@pytest.mark.parametrize("make_kernel", KERNELS)
+class TestKernelContract:
+    """Exact-arithmetic contract of each kernel instance, driven through
+    ``evaluate_offsets_batch`` / ``enumerate_critical_offsets``
+    directly: every kernel reproduces the uncached reference."""
 
-    @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-    def test_simulated_numba_presence_resolves_native(self, monkeypatch):
-        _fake_numba(monkeypatch)
-        assert have_numba()
-        assert numba_version() == "0.0-stub"
-        assert "native" in available_backends()
-        assert default_backend_name() == "native"
-        resolved = resolve_backend("auto")
-        assert isinstance(resolved, NativeBackend)
-        # The whole stack runs (un-jitted) and stays bit-identical.
-        protocol, offsets, horizon = _small_pair()
-        serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        assert evaluate_offsets(
-            protocol, protocol, offsets, horizon, backend="auto"
-        ) == serial
-
-    @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-    def test_pooled_inner_kernel_tracks_numba_availability(self, monkeypatch):
-        _fake_numba(monkeypatch)
-        assert get_backend("pooled").inner == "native"
-
-    def test_numpy_less_environment_disables_native_too(self, monkeypatch):
-        """Simulated NumPy absence must disable the native tier (its
-        array plumbing is NumPy) even when Numba is importable."""
-        _fake_numba(monkeypatch)
-        monkeypatch.setattr(_np, "np", None)
-        assert "native" not in available_backends()
-        assert default_backend_name() == "python"
-        assert not NativeBackend.available()
-
-
-@pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
-class TestNativeKernel:
-    """Exact-arithmetic pinning of the native kernel, runnable without
-    Numba: ``jit_or_pyfunc`` leaves the kernels as plain Python, so the
-    same code the JIT compiles is checked bit-for-bit here (the CI
-    numba lane runs the full zoo with the compiled version)."""
-
-    def _check(self, protocol_e, protocol_f, offsets, horizon, **kwargs):
+    def _check(self, kernel, protocol_e, protocol_f, offsets, horizon,
+               **kwargs):
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, **kwargs
         )
-        for use_incremental in (True, False):
-            backend = _pyfunc_native(use_incremental)
-            params = SweepParams(
-                protocol_e, protocol_f, horizon,
-                kwargs.get("model", ReceptionModel.POINT),
-                kwargs.get("turnaround", 0),
-            )
-            got = backend.evaluate_offsets_batch(params, offsets)
-            assert got == serial, use_incremental
+        params = SweepParams(
+            protocol_e, protocol_f, horizon,
+            kwargs.get("model", ReceptionModel.POINT),
+            kwargs.get("turnaround", 0),
+        )
+        assert kernel.evaluate_offsets_batch(params, offsets) == serial
 
-    def test_bit_identical_all_models(self):
+    def test_bit_identical_all_models(self, make_kernel):
         protocol, offsets, horizon = _small_pair()
         for model in ReceptionModel:
-            self._check(protocol, protocol, offsets, horizon, model=model)
+            self._check(
+                make_kernel(), protocol, protocol, offsets, horizon,
+                model=model,
+            )
 
-    def test_boot_threshold_split_with_turnaround(self):
+    def test_boot_threshold_split_with_turnaround(self, make_kernel):
         """Below-threshold candidates run the exact scalar scan; the
-        compiled loop starts at each lane's boot-safe instance."""
+        rest start at each offset's boot-safe instance."""
         protocol, offsets, horizon = _small_pair()
-        self._check(protocol, protocol, offsets, horizon, turnaround=9)
+        self._check(
+            make_kernel(), protocol, protocol, offsets, horizon,
+            turnaround=9,
+        )
 
-    def test_negative_and_scattered_offsets(self):
+    def test_negative_and_scattered_offsets(self, make_kernel):
         protocol, _, horizon = _small_pair()
         offsets = [-7919, -13, 0, 4, 991, 65537, 3, 3]
-        self._check(protocol, protocol, offsets, horizon)
+        self._check(make_kernel(), protocol, protocol, offsets, horizon)
 
-    def test_non_vectorizable_delegates_to_reference(self):
+    def test_non_vectorizable_delegates_to_reference(self, make_kernel):
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 100.5, 2),
             reception=ReceptionSchedule.single_window(25, 600),
@@ -294,12 +238,11 @@ class TestNativeKernel:
             beacons=BeaconSchedule.uniform(1, 150, 3),
             reception=ReceptionSchedule.single_window(40, 350),
         )
-        self._check(adv, scan, list(range(0, 600, 7)), 4_000)
+        self._check(make_kernel(), adv, scan, list(range(0, 600, 7)), 4_000)
 
-    def test_oversized_duration_falls_back_to_numpy_batch(self):
-        """A beacon longer than the receiver's hyperperiod fails the
-        compiled kernel's precondition; the direction must fall back
-        (to the numpy batch kernel) and stay exact."""
+    def test_oversized_duration_stays_exact(self, make_kernel):
+        """A beacon longer than the receiver's hyperperiod: kernels that
+        cannot vectorize it must fall back and stay exact."""
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 5_000, 700),
             reception=ReceptionSchedule.single_window(25, 600),
@@ -309,41 +252,31 @@ class TestNativeKernel:
             reception=ReceptionSchedule.single_window(40, 350),
         )
         assert adv.beacons.beacons[0].duration > scan.reception.period
-        self._check(adv, scan, list(range(0, 600, 11)), 20_000)
+        self._check(
+            make_kernel(), adv, scan, list(range(0, 600, 11)), 20_000
+        )
 
-    def test_enumeration_bit_identical_with_guard_parity(self):
+    def test_enumeration_bit_identical_with_guard_parity(self, make_kernel):
         from repro.simulation import critical_offsets
 
         protocol, _, _ = _small_pair()
         reference = critical_offsets(protocol, protocol, omega=32)
         assert reference
-        backend = _pyfunc_native()
+        kernel = make_kernel()
         params = SweepParams(protocol, protocol, 0, ReceptionModel.POINT)
-        assert backend.enumerate_critical_offsets(
+        assert kernel.enumerate_critical_offsets(
             params, omega=32
         ) == reference
         undersized = max(1, len(reference) // 4)
-        with pytest.raises(ValueError) as native_err:
-            backend.enumerate_critical_offsets(
+        with pytest.raises(ValueError) as kernel_err:
+            kernel.enumerate_critical_offsets(
                 params, omega=32, max_count=undersized
             )
         with pytest.raises(ValueError) as ref_err:
             critical_offsets(
                 protocol, protocol, omega=32, max_count=undersized
             )
-        assert str(native_err.value) == str(ref_err.value)
-
-    def test_enumeration_delegates_beyond_bitmap_regime(self, monkeypatch):
-        from repro.backends import native_kernel
-        from repro.simulation import critical_offsets
-
-        protocol, _, _ = _small_pair()
-        reference = critical_offsets(protocol, protocol, omega=32)
-        monkeypatch.setattr(native_kernel, "_BITMAP_MAX_HYPER", 0)
-        assert _pyfunc_native().enumerate_critical_offsets(
-            SweepParams(protocol, protocol, 0, ReceptionModel.POINT),
-            omega=32,
-        ) == reference
+        assert str(kernel_err.value) == str(ref_err.value)
 
 
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
@@ -657,35 +590,6 @@ class TestCostModelCalibration:
         with pytest.raises(ValueError, match="per_scenario"):
             fit_cost_weights({"serial_seconds": 1.0, "speedup": 4.2})
 
-    def test_spot_check_floor_is_weight_invariant(self):
-        """Calibrated seconds-per-event weights (~1e-6) must not change
-        whether a DES spot-check batch clears the absolute event floor."""
-        from repro.parallel.executor import _estimated_spot_events
-
-        scenario = dense_network(n_devices=2, eta=0.02)
-        baseline = _estimated_spot_events(scenario.protocols, scenario.horizon, 16)
-        previous = use_cost_weights((3e-6, 2e-6))
-        try:
-            assert _estimated_spot_events(
-                scenario.protocols, scenario.horizon, 16
-            ) == baseline
-        finally:
-            use_cost_weights(previous)
-
-
-class TestScenarioBackendField:
-    def test_default_none_and_validation(self):
-        scenario = dense_network(n_devices=3, eta=0.05)
-        assert scenario.backend is None
-        with pytest.raises(ValueError, match="backend"):
-            Scenario(
-                name="bad",
-                protocols=scenario.protocols,
-                phases=scenario.phases,
-                horizon=scenario.horizon,
-                backend=7,
-            )
-
 
 class TestCLIBackendFlag:
     def test_sweep_accepts_backend(self, capsys):
@@ -705,20 +609,20 @@ class TestCLIBackendFlag:
         ]) == 0
         assert "DES agrees       : True" in capsys.readouterr().out
 
-    def test_grid_accepts_pooled_backend(self, capsys):
+    def test_grid_runs_on_the_pool_with_jobs(self, capsys):
         from repro.cli import main
 
         assert main([
             "grid", "--devices", "3", "--etas", "0.05", "--jobs", "2",
-            "--backend", "pooled",
         ]) == 0
         assert "scenario" in capsys.readouterr().out
 
-    def test_bad_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["gpu", "pooled", "native"])
+    def test_bad_backend_rejected(self, name):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["sweep", "--eta", "0.05", "--backend", "gpu"])
+            main(["sweep", "--eta", "0.05", "--backend", name])
 
     def test_unavailable_backend_exits_cleanly(self, monkeypatch, capsys):
         """--backend numpy on a base install: a one-line error and exit

@@ -1,7 +1,6 @@
 """Campaign definitions, lattice expansion and resumable execution."""
 
 import json
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -309,201 +308,76 @@ class TestCampaignRunner:
 
 
 # ----------------------------------------------------------------------
-# Entry cost hints
+# Runner-owned sessions on a jobs > 1 profile
 # ----------------------------------------------------------------------
 
 
-class TestEntryCostHints:
-    def test_cost_hints_positive_and_schedulable(self):
-        from repro.parallel.schedule import plan_longest_first
+class TestPooledRunner:
+    """A ``jobs=2`` profile shards every entry over the persistent pool;
+    the runner-owned session reaps that pool however the run ends."""
 
-        entries = tiny_campaign().expand()
-        costs = [entry.cost_hint() for entry in entries]
-        assert all(cost >= 1.0 for cost in costs)
-        order = plan_longest_first(entries)
-        assert sorted(order) == list(range(len(entries)))
+    def test_pooled_run_matches_serial_and_reaps_pool(self, tmp_path):
+        import multiprocessing
 
-    def test_worst_case_prices_above_its_sweep(self):
-        sweep, worst = Campaign(
-            name="pair",
-            runs=[
-                {"verb": "sweep", "spec": BASE_SPEC},
-                {"verb": "worst_case", "spec": BASE_SPEC},
-            ],
-        ).expand()
-        assert worst.cost_hint() == pytest.approx(2.0 * sweep.cost_hint())
+        from repro.api import RuntimeProfile
 
-    def test_more_samples_cost_more(self):
-        small, big = tiny_campaign(1).expand()[0], Campaign(
-            name="big",
-            runs=[{"verb": "sweep", "spec": dict(BASE_SPEC, samples=64)}],
-        ).expand()[0]
-        assert big.cost_hint() > small.cost_hint()
-
-    def test_unestimable_spec_ranks_neutrally(self):
-        from repro.api import RunSpec
-        from repro.campaign.campaign import CampaignEntry
-
-        entry = CampaignEntry(
-            index=0, run_index=0, verb="sweep", label="x", spec=RunSpec()
-        )
-        assert entry.cost_hint() == 1.0
-
-
-# ----------------------------------------------------------------------
-# Parallel entry execution
-# ----------------------------------------------------------------------
-
-
-class TestParallelRunner:
-    def test_parallel_matches_serial(self, tmp_path):
         campaign = tiny_campaign()
         serial_store = ResultStore(tmp_path / "serial")
         serial = CampaignRunner(
             campaign, serial_store, manifest_path=tmp_path / "ms.json"
         ).run()
-        parallel_store = ResultStore(tmp_path / "parallel")
-        parallel = CampaignRunner(
-            campaign, parallel_store, manifest_path=tmp_path / "mp.json"
-        ).run(entry_jobs=2)
+        pooled_store = ResultStore(tmp_path / "pooled")
+        pooled = CampaignRunner(
+            campaign, pooled_store, profile=RuntimeProfile(jobs=2),
+            manifest_path=tmp_path / "mp.json",
+        ).run()
 
-        assert parallel["complete"] and parallel["executed"] == 3
+        assert pooled["complete"] and pooled["executed"] == 3
         assert (
             serial_store.known_fingerprints()
-            == parallel_store.known_fingerprints()
+            == pooled_store.known_fingerprints()
         )
         for fp in serial_store.known_fingerprints():
-            assert serial_store.get(fp).payload == parallel_store.get(fp).payload
+            assert serial_store.get(fp).payload == pooled_store.get(fp).payload
         assert [
             (r["status"], r["source"]) for r in serial["entries"]
-        ] == [(r["status"], r["source"]) for r in parallel["entries"]]
+        ] == [(r["status"], r["source"]) for r in pooled["entries"]]
+        assert not multiprocessing.active_children()
 
-    def test_entry_jobs_one_is_serial(self, tmp_path):
+    def test_pooled_interrupt_reaps_pool_then_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.api import RuntimeProfile, Session
+
         store = ResultStore(tmp_path / "store")
         runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
+            tiny_campaign(), store, profile=RuntimeProfile(jobs=2),
+            manifest_path=tmp_path / "m.json",
         )
-        manifest = runner.run(entry_jobs=1)
-        assert manifest["complete"] and manifest["executed"] == 3
+        real_sweep = Session.sweep
+        calls = {"n": 0}
 
-    def test_parallel_max_runs_caps_in_lattice_order(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-        partial = runner.run(max_runs=1, entry_jobs=2)
-        assert not partial["complete"]
-        assert partial["executed"] == 1
-        # Same cap choice as the serial loop: first miss in lattice
-        # order executes, later misses are capped.
-        assert [r["status"] for r in partial["entries"]] == [
-            "done", "skipped", "skipped",
+        def dying_sweep(self, spec):
+            calls["n"] += 1
+            if calls["n"] >= 2:
+                raise KeyboardInterrupt
+            return real_sweep(self, spec)
+
+        monkeypatch.setattr(Session, "sweep", dying_sweep)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run()
+        # The first entry ran on the pool; the interrupt still closed
+        # the runner-owned session, and with it every pool worker.
+        assert not multiprocessing.active_children()
+        checkpoint = json.loads((tmp_path / "m.json").read_text())
+        assert [r["status"] for r in checkpoint["entries"]] == [
+            "done", "pending", "pending",
         ]
-        resumed = runner.run(entry_jobs=2)
+
+        monkeypatch.setattr(Session, "sweep", real_sweep)
+        resumed = runner.run()
         assert resumed["complete"]
         assert resumed["hits"] == 1 and resumed["executed"] == 2
-
-    def test_parallel_per_entry_failure_isolated(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-
-        from repro.api import Session
-
-        real = Session(store=store)
-        lock = threading.Lock()
-
-        def flaky_sweep(spec):
-            if spec.pair["eta"] == 0.02:
-                raise RuntimeError("worker lost")
-            with lock:  # the shared real session is not thread-safe
-                return real.sweep(spec)
-
-        try:
-            manifest = runner.run(
-                session=SimpleNamespace(sweep=flaky_sweep), entry_jobs=2
-            )
-        finally:
-            real.close()
-        assert manifest["failed"] == 1 and manifest["executed"] == 2
-        failed = manifest["entries"][1]
-        assert failed["status"] == "failed"
-        assert "RuntimeError: worker lost" in failed["error"]
-
-    def test_parallel_interrupt_checkpoints_then_resumes(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-
-        from repro.api import Session
-
-        real = Session(store=store)
-        lock = threading.Lock()
-
-        def dying_sweep(spec):
-            if spec.pair["eta"] == 0.03:
-                raise KeyboardInterrupt
-            with lock:
-                return real.sweep(spec)
-
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                runner.run(
-                    session=SimpleNamespace(sweep=dying_sweep), entry_jobs=2
-                )
-        finally:
-            real.close()
-
-        # The checkpoint on disk is a valid manifest with every record
-        # accounted for -- no record loss, no torn statuses.
-        checkpoint = json.loads((tmp_path / "m.json").read_text())
-        assert checkpoint["campaign"] == "tiny"
-        assert len(checkpoint["entries"]) == 3
-        assert all(
-            r["status"] in ("pending", "done") for r in checkpoint["entries"]
-        )
-        assert not checkpoint["complete"]
-
-        resumed = runner.run(entry_jobs=2)
-        assert resumed["complete"]
-        assert all(r["status"] == "done" for r in resumed["entries"])
-
-    def test_parallel_uses_worker_sessions(self, tmp_path):
-        # An injected object exposing .worker() contributes one sibling
-        # per worker thread (the Session protocol); the doubles record
-        # which entries they served and every worker gets closed.
-        calls = []
-        closed = []
-
-        class FakeWorker:
-            def __init__(self, parent):
-                self.parent = parent
-
-            def sweep(self, spec):
-                calls.append((id(self), spec.pair["eta"]))
-                return SimpleNamespace(store_meta={"hit": False})
-
-            def close(self):
-                closed.append(id(self))
-
-        class FakeSession:
-            def __init__(self):
-                self.workers = []
-
-            def worker(self):
-                worker = FakeWorker(self)
-                self.workers.append(worker)
-                return worker
-
-        parent = FakeSession()
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            tiny_campaign(), store, manifest_path=tmp_path / "m.json"
-        )
-        manifest = runner.run(session=parent, entry_jobs=2)
-        assert manifest["executed"] == 3
-        assert sorted(eta for _, eta in calls) == [0.01, 0.02, 0.03]
-        assert 1 <= len(parent.workers) <= 2
-        assert sorted(closed) == sorted(id(w) for w in parent.workers)
+        assert not multiprocessing.active_children()

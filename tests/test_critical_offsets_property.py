@@ -7,8 +7,8 @@ draws from all 13 protocol-zoo families (random family parameters,
 random omega, random turnaround):
 
 1. **Kernel parity** -- every accelerated kernel that can run here
-   (``numpy``; ``native`` under the CI numba lane -- the list comes
-   from ``available_backends()``, so future kernels join automatically)
+   (``numpy`` -- the list comes from ``available_backends()``, so
+   future kernels join automatically)
    returns the bit-identical sorted list of python ints as the
    pure-python reference, and raises ``ValueError`` with the identical
    message at the identical point for undersized ``max_count`` --
@@ -59,11 +59,8 @@ except ImportError:  # pragma: no cover - exercised by the no-deps CI lane
     HAVE_HYPOTHESIS = False
 
 # The accelerated kernels to pin against the reference: everything
-# registered and runnable except the reference itself and the pooled
-# wrapper (which delegates enumeration to its inner kernel).
-FAST_KERNELS = [
-    name for name in available_backends() if name not in ("python", "pooled")
-]
+# registered and runnable except the reference itself.
+FAST_KERNELS = [name for name in available_backends() if name != "python"]
 
 # Dense sweeps above this hyperperiod would dominate the harness's
 # runtime; family parameters below are chosen so most draws land under

@@ -16,13 +16,14 @@ from repro.core.sequences import (
     NDProtocol,
     ReceptionSchedule,
 )
+from repro.api import RunSpec, Session
+from repro.backends import CachedPairEvaluator
+from repro.backends.base import chunk_evenly
 from repro.parallel import (
-    CachedPairEvaluator,
     derive_seed,
     ListeningCache,
     ParallelSweep,
 )
-from repro.parallel.executor import _chunk
 from repro.simulation import (
     evaluate_offsets,
     mutual_discovery_times,
@@ -33,7 +34,6 @@ from repro.simulation import (
     summarize_outcomes,
     sweep_network_grid,
     sweep_offsets,
-    verified_worst_case,
 )
 from repro.simulation.analytic import _packet_heard
 from repro.simulation.channel import Channel
@@ -145,18 +145,18 @@ class TestBatchEntryPoints:
 class TestParallelSweep:
     def test_chunking_partitions_in_order(self):
         items = list(range(17))
-        chunks = _chunk(items, 5)
+        chunks = chunk_evenly(items, 5)
         assert [x for chunk in chunks for x in chunk] == items
         assert len(chunks) == 5
         assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
-        assert _chunk(items, 100) == [[x] for x in items]
+        assert chunk_evenly(items, 100) == [[x] for x in items]
 
     def test_bit_identical_to_serial_random_pairs(self):
-        """Property test: the chunked multiprocessing sweep reproduces
-        the serial report exactly -- counts, worsts, float means and
-        tie-broken worst offsets."""
+        """Property test: the pool-sharded sweep reproduces the serial
+        report exactly -- counts, worsts, float means and tie-broken
+        worst offsets."""
         rng = random.Random(11)
-        executor = ParallelSweep(jobs=2, chunks_per_job=3)
+        executor = ParallelSweep(jobs=2)
         for _ in range(3):
             protocol_e, protocol_f = random_pair(rng)
             offsets = [rng.randint(0, 20_000) for _ in range(120)]
@@ -191,7 +191,7 @@ class TestParallelSweep:
         offsets = list(range(0, 700))
         horizon = 5_000
         serial = sweep_offsets(adv, scan, offsets, horizon)
-        parallel = ParallelSweep(jobs=2, chunks_per_job=3).sweep_offsets(
+        parallel = ParallelSweep(jobs=2).sweep_offsets(
             adv, scan, offsets, horizon
         )
         assert parallel == serial
@@ -209,13 +209,17 @@ class TestParallelSweep:
             protocol, protocol, offsets, horizon
         ) == sweep_offsets(protocol, protocol, offsets, horizon)
 
-    def test_verified_worst_case_parallel_identical(self):
+    def test_worst_case_parallel_identical(self):
         protocol, design = synthesize_symmetric(32, 0.05)
-        horizon = design.worst_case_latency * 3
-        serial = verified_worst_case(protocol, protocol, horizon, omega=32)
-        parallel = verified_worst_case(
-            protocol, protocol, horizon, omega=32, jobs=2
+        spec = RunSpec(
+            pair=(protocol, protocol),
+            horizon=design.worst_case_latency * 3,
+            omega=32,
         )
+        with Session(jobs=1) as session:
+            serial = session.worst_case(spec).raw
+        with Session(jobs=2) as session:
+            parallel = session.worst_case(spec).raw
         assert parallel.analytic == serial.analytic
         assert parallel.offsets_checked == serial.offsets_checked
         assert parallel.des_agrees and serial.des_agrees
@@ -223,8 +227,6 @@ class TestParallelSweep:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ParallelSweep(jobs=-1)
-        with pytest.raises(ValueError):
-            ParallelSweep(jobs=2, chunks_per_job=0)
 
 
 class TestNetworkGrid:
@@ -248,8 +250,9 @@ class TestNetworkGrid:
         grid = scenario_grid(
             dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1]
         )
-        serial = sweep_network_grid(grid, jobs=1, base_seed=9)
-        parallel = sweep_network_grid(grid, jobs=2, base_seed=9)
+        serial = sweep_network_grid(grid, base_seed=9)
+        with Session(jobs=2) as session:
+            parallel = session.grid(RunSpec(grid=grid, seed=9)).raw
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a == b
@@ -301,28 +304,27 @@ class TestSpotCheckSelection:
         """End to end: the parallel spot-check path returns the same
         verdict and report as the serial one."""
         protocol, design = synthesize_symmetric(32, 0.05)
-        horizon = design.worst_case_latency * 3
-        serial = verified_worst_case(
-            protocol, protocol, horizon, omega=32, des_spot_checks=6
+        spec = RunSpec(
+            pair=(protocol, protocol),
+            horizon=design.worst_case_latency * 3,
+            omega=32,
+            des_spot_checks=6,
         )
-        parallel = verified_worst_case(
-            protocol, protocol, horizon, omega=32, des_spot_checks=6, jobs=2
-        )
+        with Session(jobs=1) as session:
+            serial = session.worst_case(spec).raw
+        with Session(jobs=2) as session:
+            parallel = session.worst_case(spec).raw
         assert serial == parallel
         assert serial.des_agrees
 
-    def test_spot_check_pool_bit_identical(self, monkeypatch):
-        """The pooled replay path (normally gated behind the estimated
-        work floor) matches the in-process path exactly."""
-        from repro.parallel import executor as executor_module
-
+    def test_spot_check_pool_bit_identical(self):
+        """The pooled replay path matches the in-process path exactly."""
         protocol, design = synthesize_symmetric(32, 0.05)
         horizon = design.worst_case_latency
         offsets = [0, 1_234, 56_789, 111_111]
         serial = ParallelSweep(jobs=1).spot_check_pairs(
             protocol, protocol, offsets, horizon
         )
-        monkeypatch.setattr(executor_module, "_SPOT_POOL_MIN_EVENTS", 0)
         pooled = ParallelSweep(jobs=2).spot_check_pairs(
             protocol, protocol, offsets, horizon
         )

@@ -1,41 +1,39 @@
 """Zoo-wide equivalence harness: every execution path is bit-identical.
 
-The load-bearing invariant of the parallel runtime is that *all four*
-execution paths -- serial, chunked multiprocessing, shared-memory
-chunked, and work-stealing -- produce bit-identical results for every
-protocol family in the reproduction, including non-integer-period
-schedules (which disable the pattern cache) and the drift/jitter
-fidelity knobs of grid scenarios.  This file pins that invariant:
+The load-bearing invariant of the runtime is that every execution path
+-- the ``python`` reference kernel, the vectorized ``numpy`` kernel, and
+``jobs=2`` (the shared persistent pool) -- produces bit-identical
+results for every protocol family in the reproduction, including
+non-integer-period schedules (which disable the pattern cache) and the
+drift/jitter fidelity knobs of grid scenarios.  This file pins that
+invariant:
 
-* one parametrized equivalence case per protocol family (13 families:
-  the four classic slotted protocols, quorum, Nihao, Birthday, the two
-  PI/BLE shapes, the three paper-optimal constructions, and a
-  float-period PI pair exercising the uncached fallback);
+* offset sweeps, per family (13 families: the four classic slotted
+  protocols, quorum, Nihao, Birthday, the two PI/BLE shapes, the three
+  paper-optimal constructions, and a float-period PI pair exercising
+  the uncached fallback) under **all three** reception models, as full
+  per-offset outcome lists and as aggregated reports, against the exact
+  uncached reference;
 * dedicated cases for the residue-memo and zero-copy shared-memory
   regimes, which small zoo schedules never reach;
-* grid equivalence across chunked vs work-stealing scheduling with
-  drift and advertising jitter enabled;
-* unit tests of the keyed cache registry (hit/miss/LRU/invalidation)
-  and the shared-memory segment lifecycle;
-* (PR 3) backend equivalence: ``python`` == ``numpy`` == ``pooled``
-  sweep kernels pinned bit-identical for every family under **all
-  three** reception models, plus persistent-pool lifecycle units (lazy
-  creation, reuse across sweeps, explicit shutdown, no leaked worker
-  processes);
-* (PR 4) Session-facade equivalence: :class:`repro.api.Session` verbs
-  pinned bit-identical to the legacy kwarg entry points across all 13
-  families, plus a session lifecycle test showing zero leaked worker
-  processes and shared-memory segments after ``__exit__``.
+* ``Session.worst_case`` with DES spot checks and ``Session.grid`` with
+  drift and advertising jitter, across the same three paths;
+* the plain entry points (``sweep_offsets``, ``verified_worst_case``,
+  ``sweep_network_grid``) pinned to the ``jobs=2`` Session verbs;
+* unit tests of the keyed cache registry (hit/miss/LRU/invalidation),
+  the pool's shared-memory pattern arena, and the persistent-pool
+  lifecycle (lazy creation, reuse across sweeps, explicit shutdown, no
+  leaked worker processes or segments).
 """
 
 import os
 
 import pytest
 
+from repro.api import RunSpec, RuntimeProfile, Session
 from repro.backends import (
     available_backends,
     get_pooled_backend,
-    have_numpy,
     PooledBackend,
     shutdown_pooled_backends,
     SweepParams,
@@ -47,11 +45,12 @@ from repro.parallel import (
     ListeningCache,
     listening_cache_stats,
     ParallelSweep,
+    PatternArena,
     protocol_fingerprint,
-    SharedPatternStore,
 )
+from repro.parallel import shm
 from repro.parallel.cache import _MEMO_MIN_SEGMENTS, _REGISTRY
-from repro.parallel.shm import attach_pattern_caches, ZERO_COPY_MIN_SEGMENTS
+from repro.parallel.shm import attach_pattern_arena, ZERO_COPY_MIN_SEGMENTS
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -69,6 +68,7 @@ from repro.protocols import (
 from repro.simulation import (
     evaluate_offsets,
     ReceptionModel,
+    summarize_outcomes,
     sweep_network_grid,
     sweep_offsets,
     verified_worst_case,
@@ -154,15 +154,56 @@ def _workload(protocol_e, protocol_f):
     return offsets, period * 12
 
 
+#: The execution paths every result must agree across: each runnable
+#: kernel in-process, plus ``jobs=2`` (the persistent pool over the
+#: auto-detected kernel).
+PATHS = [{"jobs": 1, "backend": name} for name in available_backends()] + [
+    {"jobs": 2}
+]
+PATH_IDS = [
+    path.get("backend", f"jobs={path['jobs']}") for path in PATHS
+]
+
+
+def _engines():
+    return {
+        path_id: ParallelSweep(**path)
+        for path_id, path in zip(PATH_IDS, PATHS)
+    }
+
+
+@pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+@pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
+def test_family_sweep_bit_identical_all_models(family, path):
+    """python == numpy == jobs=2, pinned against the exact uncached
+    reference, for every family under all three reception models --
+    full per-offset outcome lists and the aggregated reports."""
+    protocol_e, protocol_f = ZOO[family]()
+    offsets, horizon = _workload(protocol_e, protocol_f)
+    engine = ParallelSweep(**path)
+    for model in MODELS:
+        serial = evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon, model
+        )
+        got = engine.evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon, model
+        )
+        assert got == serial, (family, model)
+        assert engine.sweep_offsets(
+            protocol_e, protocol_f, offsets, horizon, model
+        ) == summarize_outcomes(serial), (family, model)
+
+
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
 def test_family_all_paths_bit_identical(family):
-    """serial == chunked == shared-memory for every protocol family,
-    as full per-offset outcome lists and as aggregated reports."""
+    """The public ``evaluate_offsets``/``sweep_offsets`` entry points ==
+    the auto-kernel engine in-process == the ``jobs=2`` pool, as full
+    per-offset outcome lists and as aggregated reports, with each warm
+    engine then reused under the paper's POINT model."""
     protocol_e, protocol_f = ZOO[family]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     # Rotate the reception model per family so all three decode
-    # semantics appear across the zoo without tripling the runtime;
-    # POINT (the paper's model) runs for every family below.
+    # semantics appear across the zoo; POINT runs for every family.
     model = MODELS[sorted(ZOO).index(family) % len(MODELS)]
 
     serial_outcomes = evaluate_offsets(
@@ -171,90 +212,60 @@ def test_family_all_paths_bit_identical(family):
     serial_report = sweep_offsets(
         protocol_e, protocol_f, offsets, horizon, model
     )
-
-    paths = {
+    engines = {
         "in-process-cached": ParallelSweep(jobs=1),
-        "chunked": ParallelSweep(jobs=2, chunks_per_job=3, shared_memory=False),
-        "shared-memory": ParallelSweep(jobs=2, chunks_per_job=3, shared_memory=True),
+        "pooled": ParallelSweep(jobs=2),
     }
-    for name, executor in paths.items():
-        outcomes = executor.evaluate_offsets(
+    for name, engine in engines.items():
+        outcomes = engine.evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, model
         )
         assert outcomes == serial_outcomes, (family, name, model)
-        report = executor.sweep_offsets(
+        report = engine.sweep_offsets(
             protocol_e, protocol_f, offsets, horizon, model
         )
         assert report == serial_report, (family, name, model)
     if model is not ReceptionModel.POINT:
         point_serial = sweep_offsets(protocol_e, protocol_f, offsets, horizon)
-        for name, executor in paths.items():
+        for name, engine in engines.items():
             assert (
-                executor.sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+                engine.sweep_offsets(protocol_e, protocol_f, offsets, horizon)
                 == point_serial
             ), (family, name)
 
 
-# Every kernel that can run here is pinned automatically -- new
-# backends (e.g. ``native`` under the CI numba lane) join the zoo by
-# registering, with no test edits.
-BACKENDS = available_backends()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools_after_module():
-    """Persistent pools are shared module-wide (that is the point of the
-    pooled backend); shut them down when this module's tests finish."""
-    yield
-    shutdown_pooled_backends()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
-def test_family_backends_bit_identical_all_models(family, backend):
-    """python == numpy == pooled kernels, pinned against the exact
-    uncached reference, for every family under all three reception
-    models -- full per-offset outcome lists, not just aggregates."""
-    protocol_e, protocol_f = ZOO[family]()
-    offsets, horizon = _workload(protocol_e, protocol_f)
-    for model in MODELS:
-        serial = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, model
-        )
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, model, backend=backend
-        )
-        assert got == serial, (family, backend, model)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 def test_backend_threads_through_parallel_sweep(backend):
-    """The ParallelSweep backend knob is bit-identical on the sharded
-    multi-worker path too (workers run the selected kernel)."""
+    """The kernel choice reaches the ``jobs=2`` pool: it runs the
+    selected kernel in its workers and stays bit-identical."""
     protocol_e, protocol_f = ZOO["disco"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-    executor = ParallelSweep(jobs=2, chunks_per_job=3, backend=backend)
-    assert executor.evaluate_offsets(
+    engine = ParallelSweep(jobs=2, backend=backend)
+    pool = engine._resolve_backend()
+    assert isinstance(pool, PooledBackend)
+    assert pool.inner == backend
+    assert engine.evaluate_offsets(
         protocol_e, protocol_f, offsets, horizon
     ) == serial
 
 
-def test_turnaround_guard_reaches_every_backend():
-    """A non-zero turnaround changes decisions; all kernels must agree
+def test_turnaround_guard_reaches_every_path():
+    """A non-zero turnaround changes decisions; every path must agree
     with the reference under it (below-threshold boot queries included)."""
     protocol_e, protocol_f = ZOO["searchlight"]()
     offsets, horizon = _workload(protocol_e, protocol_f)
+    engines = _engines()
     for model in MODELS:
         serial = evaluate_offsets(
             protocol_e, protocol_f, offsets, horizon, model, turnaround=7
         )
-        for backend in available_backends():
-            got = evaluate_offsets(
+        for name, engine in engines.items():
+            got = engine.evaluate_offsets(
                 protocol_e, protocol_f, offsets, horizon, model,
-                turnaround=7, backend=backend,
+                turnaround=7,
             )
-            assert got == serial, (backend, model)
+            assert got == serial, (name, model)
 
 
 def _dense_pattern_pair(gap, window_period, window=64):
@@ -274,8 +285,8 @@ def _dense_pattern_pair(gap, window_period, window=64):
     ],
 )
 def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
-    """The memo and zero-copy branches (unreachable with small zoo
-    schedules) also reproduce the serial path exactly."""
+    """The memo and zero-copy arena branches (unreachable with small
+    zoo schedules) also reproduce the serial path exactly."""
     protocol_e, protocol_f = _dense_pattern_pair(gap, window_period)
     cache = ListeningCache(protocol_e)
     assert cache.enabled
@@ -289,35 +300,122 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
     horizon = 6 * window_period
 
     serial = evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-    for shared_memory in (False, True):
-        executor = ParallelSweep(jobs=2, shared_memory=shared_memory)
-        got = executor.evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
-        assert got == serial, (regime, shared_memory)
-    for backend in available_backends():
-        got = evaluate_offsets(
-            protocol_e, protocol_f, offsets, horizon, backend=backend
-        )
-        assert got == serial, (regime, backend)
+    for name, engine in _engines().items():
+        got = engine.evaluate_offsets(protocol_e, protocol_f, offsets, horizon)
+        assert got == serial, (regime, name)
 
 
-def test_grid_chunk_vs_steal_with_fidelity_knobs():
-    """Work-stealing == chunked == serial for grids mixing device
+@pytest.mark.parametrize("family", ["disco", "nihao", "optimal-slotless"])
+def test_worst_case_with_des_checks_bit_identical(family):
+    """Session.worst_case -- critical enumeration, sweep and DES spot
+    checks -- returns the identical verdict on every path."""
+    protocol_e, protocol_f = ZOO[family]()
+    _offsets, horizon = _workload(protocol_e, protocol_f)
+    spec = RunSpec(
+        pair=(protocol_e, protocol_f), horizon=horizon, omega=OMEGA,
+        des_spot_checks=4,
+    )
+    results = {}
+    for path_id, path in zip(PATH_IDS, PATHS):
+        with Session(RuntimeProfile(**path)) as session:
+            results[path_id] = session.worst_case(spec).raw
+    reference = results.pop("python")
+    assert reference.des_agrees
+    for path_id, got in results.items():
+        assert got == reference, (family, path_id)
+
+
+def test_grid_bit_identical_with_fidelity_knobs():
+    """Session.grid is identical on every path for grids mixing device
     counts, drift and staggered joins, with advertising jitter on."""
     grid = (
         scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
         + [drifting_pair(eta=0.05, drift_ppm=40, seed=2)]
         + [gradual_join(n_devices=3, eta=0.05, seed=3)]
     )
-    kwargs = dict(base_seed=11, advertising_jitter=300)
-    serial = sweep_network_grid(grid, jobs=1, **kwargs)
-    chunked = sweep_network_grid(grid, jobs=2, schedule="chunk", **kwargs)
-    stolen = sweep_network_grid(grid, jobs=2, schedule="steal", **kwargs)
-    assert chunked == serial
-    assert stolen == serial
+    spec = RunSpec(grid=grid, seed=11, advertising_jitter=300)
+    results = {}
+    for path_id, path in zip(PATH_IDS, PATHS):
+        with Session(RuntimeProfile(**path)) as session:
+            results[path_id] = session.grid(spec).raw
+    reference = results.pop("python")
+    for path_id, got in results.items():
+        assert got == reference, path_id
     # The jitter knob actually reached the simulation: a different
     # jitter bound must move at least one scenario's outcome.
-    unjittered = sweep_network_grid(grid, jobs=2, base_seed=11)
-    assert unjittered != serial
+    with Session(jobs=2) as session:
+        unjittered = session.grid(RunSpec(grid=grid, seed=11)).raw
+    assert unjittered != reference
+
+
+@pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
+def test_session_sweep_matches_reference(family):
+    """Session.sweep is pinned bit-identical to the exact reference for
+    every protocol family."""
+    protocol_e, protocol_f = ZOO[family]()
+    offsets, horizon = _workload(protocol_e, protocol_f)
+    model = MODELS[sorted(ZOO).index(family) % len(MODELS)]
+    reference = summarize_outcomes(
+        evaluate_offsets(protocol_e, protocol_f, offsets, horizon, model)
+    )
+    spec = RunSpec(
+        pair=(protocol_e, protocol_f),
+        offsets=list(offsets),
+        horizon=horizon,
+        model=model.value,
+    )
+    with Session(RuntimeProfile(jobs=1)) as session:
+        assert session.sweep(spec).raw == reference, family
+
+
+def test_session_sweep_sharded_matches_reference():
+    """The multi-worker Session path (``jobs=2``) equals the sharded
+    engine and the public ``sweep_offsets`` entry point."""
+    protocol_e, protocol_f = ZOO["disco"]()
+    offsets, horizon = _workload(protocol_e, protocol_f)
+    serial = sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+    sharded = ParallelSweep(jobs=2).sweep_offsets(
+        protocol_e, protocol_f, offsets, horizon
+    )
+    spec = RunSpec(pair=(protocol_e, protocol_f), offsets=list(offsets),
+                   horizon=horizon)
+    with Session(RuntimeProfile(jobs=2)) as session:
+        facade = session.sweep(spec).raw
+    assert facade == serial == sharded
+
+
+@pytest.mark.parametrize("family", ["disco", "nihao", "optimal-slotless"])
+def test_session_worst_case_matches_entry_point(family):
+    """Session.worst_case equals the plain ``verified_worst_case`` entry
+    point (report, verdict and offsets checked)."""
+    protocol_e, protocol_f = ZOO[family]()
+    _offsets, horizon = _workload(protocol_e, protocol_f)
+    plain = verified_worst_case(
+        protocol_e, protocol_f, horizon, omega=OMEGA, des_spot_checks=4
+    )
+    spec = RunSpec(
+        pair=(protocol_e, protocol_f), horizon=horizon, omega=OMEGA,
+        des_spot_checks=4,
+    )
+    with Session(RuntimeProfile(jobs=2)) as session:
+        facade = session.worst_case(spec).raw
+    assert facade == plain, family
+
+
+def test_session_grid_matches_entry_point():
+    """Session.grid under ``jobs=2`` equals the plain
+    ``sweep_network_grid`` entry point for a grid mixing device counts,
+    drift and staggered joins."""
+    grid = (
+        scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
+        + [drifting_pair(eta=0.05, drift_ppm=40, seed=2)]
+        + [gradual_join(n_devices=3, eta=0.05, seed=3)]
+    )
+    plain = sweep_network_grid(grid, base_seed=11, advertising_jitter=300)
+    spec = RunSpec(grid=grid, seed=11, advertising_jitter=300)
+    with Session(RuntimeProfile(jobs=2)) as session:
+        facade = session.grid(spec).raw
+    assert facade == plain
 
 
 class TestKeyedCacheRegistry:
@@ -385,18 +483,27 @@ class TestKeyedCacheRegistry:
         assert protocol_fingerprint(protocols[-1], 0) in _REGISTRY
 
 
-class TestSharedMemoryLifecycle:
+class TestPatternArena:
+    """The pool's shared-memory pattern arena, exercised in-process."""
+
+    def teardown_method(self):
+        shm._release_attached()
+        invalidate_listening_caches()
+
     def test_publish_attach_roundtrip_decisions(self):
         protocol, _ = ZOO["searchlight"]()
         fingerprint = protocol_fingerprint(protocol)
         cache = ListeningCache(protocol)
         assert cache.enabled
-        with SharedPatternStore() as store:
-            handle = store.publish({fingerprint: cache})
-            assert handle is not None
-            assert handle.total_words == 2 * cache.pattern_segments
+        with PatternArena() as arena:
+            assert arena.ensure({fingerprint: cache}) == 1
+            handles = arena.handles_for([fingerprint])
+            assert len(handles) == 1
+            assert handles[0].total_words == 2 * cache.pattern_segments
             invalidate_listening_caches()
-            assert attach_pattern_caches(handle, [(protocol, 0)]) == 1
+            assert attach_pattern_arena(handles, [(protocol, 0)]) == 1
+            # Idempotent per fingerprint: a second chunk attaches nothing.
+            assert attach_pattern_arena(handles, [(protocol, 0)]) == 0
             attached = _REGISTRY[fingerprint]
             assert attached is not cache and attached.enabled
             for start in (0, 99, 1234, 55555):
@@ -405,35 +512,42 @@ class TestSharedMemoryLifecycle:
                         7, start, start + OMEGA, model
                     ) == packet_heard(protocol, 7, start, start + OMEGA, model, 0)
 
-    def test_store_unlinks_on_exit(self):
+    def test_close_unlinks_every_segment(self):
         from multiprocessing import shared_memory
 
         protocol, _ = ZOO["disco"]()
-        cache = ListeningCache(protocol)
-        with SharedPatternStore() as store:
-            handle = store.publish({protocol_fingerprint(protocol): cache})
-            name = handle.shm_name
-            probe = shared_memory.SharedMemory(name=name)
-            probe.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        store.close()  # idempotent after exit
+        other, _ = ZOO["nihao"]()
+        arena = PatternArena()
+        arena.ensure({protocol_fingerprint(protocol): ListeningCache(protocol)})
+        arena.ensure({protocol_fingerprint(other): ListeningCache(other)})
+        assert arena.segments == 2
+        names = [
+            handle.shm_name
+            for handle in arena.handles_for(arena.fingerprints)
+        ]
+        arena.close()
+        assert arena.segments == 0
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        arena.close()  # idempotent
 
     def test_disabled_patterns_publish_nothing(self):
         adv, scan = _float_pi_pair()
         cache = ListeningCache(scan)
         assert not cache.enabled
-        with SharedPatternStore() as store:
-            assert store.publish({protocol_fingerprint(scan): cache}) is None
-            assert store.handle is None
+        with PatternArena() as arena:
+            assert arena.ensure({protocol_fingerprint(scan): cache}) == 0
+            assert arena.segments == 0
 
     def test_attach_ignores_unknown_fingerprints(self):
         protocol, _ = ZOO["disco"]()
         other, _ = ZOO["nihao"]()
-        cache = ListeningCache(protocol)
-        with SharedPatternStore() as store:
-            handle = store.publish({protocol_fingerprint(protocol): cache})
-            assert attach_pattern_caches(handle, [(other, 0)]) == 0
+        fingerprint = protocol_fingerprint(protocol)
+        with PatternArena() as arena:
+            arena.ensure({fingerprint: ListeningCache(protocol)})
+            handles = arena.handles_for([fingerprint])
+            assert attach_pattern_arena(handles, [(other, 0)]) == 0
 
 
 def _worker_pids(backend, count=8):
@@ -522,10 +636,10 @@ class TestPersistentPoolLifecycle:
         c = get_pooled_backend(jobs=3)
         assert a is b
         assert a is not c
-        # ParallelSweep resolves "pooled" through the same shared map,
-        # so independent sweeps reuse one warm pool.
-        sweep = ParallelSweep(jobs=2, backend="pooled")
-        assert sweep._resolve_backend() is a
+        # Every jobs=2 engine resolves the same shared pool, so
+        # independent sweeps reuse one warm pool.
+        assert ParallelSweep(jobs=2)._resolve_backend() is a
+        assert ParallelSweep(jobs=1)._resolve_backend() is not a
 
     def test_shutdown_pooled_backends_counts_live_pools_only(self):
         shutdown_pooled_backends()
@@ -538,112 +652,24 @@ class TestPersistentPoolLifecycle:
         _assert_processes_exit(pids)
 
     def test_grid_and_spot_checks_reuse_persistent_pool(self):
-        """sweep_network_grid and DES spot-checks share the pooled
-        workers and stay bit-identical to the serial path."""
+        """Offset sweeps, grids and DES spot-checks of one jobs=2 engine
+        share one pool and stay bit-identical to the serial path."""
         grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
-        serial = sweep_network_grid(grid, jobs=1, base_seed=5)
-        pooled = sweep_network_grid(grid, jobs=2, base_seed=5, backend="pooled")
-        assert pooled == serial
+        serial = ParallelSweep(jobs=1).map_scenarios(grid, base_seed=5)
         protocol_e, protocol_f = ZOO["disco"]()
         offsets, horizon = _workload(protocol_e, protocol_f)
-        executor = ParallelSweep(jobs=2, backend="pooled")
         reference = ParallelSweep(jobs=1).spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
         )
-        assert executor.spot_check_pairs(
+        engine = ParallelSweep(jobs=2)
+        pool = engine._resolve_backend()
+        engine.sweep_offsets(protocol_e, protocol_f, offsets, horizon)
+        executor = pool.executor()
+        assert engine.map_scenarios(grid, base_seed=5) == serial
+        assert engine.spot_check_pairs(
             protocol_e, protocol_f, offsets[:4], horizon
         ) == reference
-
-    def test_scenario_backend_preference_reaches_grid_driver(self):
-        grid = scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0])
-        for scenario in grid:
-            scenario.backend = "pooled"
-        serial = sweep_network_grid(grid, jobs=1, base_seed=3)
-        assert sweep_network_grid(grid, jobs=2, base_seed=3) == serial
-
-
-# ----------------------------------------------------------------------
-# PR 4: the Session facade vs the legacy kwarg entry points
-# ----------------------------------------------------------------------
-
-from repro.api import RunSpec, RuntimeProfile, Session  # noqa: E402
-
-
-@pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
-def test_session_sweep_matches_legacy_entry_points(family):
-    """Session.sweep pinned bit-identical to the legacy kwarg paths --
-    the exact reference, the kwarg-threaded backend selection, and the
-    chunked ParallelSweep -- for every protocol family."""
-    protocol_e, protocol_f = ZOO[family]()
-    offsets, horizon = _workload(protocol_e, protocol_f)
-    model = MODELS[sorted(ZOO).index(family) % len(MODELS)]
-
-    reference_report = sweep_offsets(
-        protocol_e, protocol_f, offsets, horizon, model
-    )
-    legacy_kwarg_report = ParallelSweep(jobs=1, backend="auto").sweep_offsets(
-        protocol_e, protocol_f, offsets, horizon, model
-    )
-    spec = RunSpec(
-        pair=(protocol_e, protocol_f),
-        offsets=list(offsets),
-        horizon=horizon,
-        model=model.value,
-    )
-    with Session(RuntimeProfile(jobs=1)) as session:
-        facade_report = session.sweep(spec).raw
-    assert facade_report == reference_report == legacy_kwarg_report, family
-
-
-def test_session_sweep_sharded_matches_legacy():
-    """The multi-worker facade path (jobs=2, shared memory) equals the
-    legacy sharded executor and the serial reference."""
-    protocol_e, protocol_f = ZOO["disco"]()
-    offsets, horizon = _workload(protocol_e, protocol_f)
-    serial = sweep_offsets(protocol_e, protocol_f, offsets, horizon)
-    legacy = ParallelSweep(jobs=2, chunks_per_job=3).sweep_offsets(
-        protocol_e, protocol_f, offsets, horizon
-    )
-    spec = RunSpec(pair=(protocol_e, protocol_f), offsets=list(offsets),
-                   horizon=horizon)
-    with Session(RuntimeProfile(jobs=2, chunks_per_job=3)) as session:
-        facade = session.sweep(spec).raw
-    assert facade == serial == legacy
-
-
-@pytest.mark.parametrize("family", ["disco", "nihao", "optimal-slotless"])
-def test_session_worst_case_matches_legacy(family):
-    """Session.worst_case equals the legacy verified_worst_case shim
-    (report, verdict and offsets checked) for representative families."""
-    protocol_e, protocol_f = ZOO[family]()
-    _offsets, horizon = _workload(protocol_e, protocol_f)
-    legacy = verified_worst_case(
-        protocol_e, protocol_f, horizon, omega=OMEGA, des_spot_checks=4
-    )
-    spec = RunSpec(
-        pair=(protocol_e, protocol_f), horizon=horizon, omega=OMEGA,
-        des_spot_checks=4,
-    )
-    with Session(RuntimeProfile(jobs=1)) as session:
-        facade = session.worst_case(spec).raw
-    assert facade == legacy, family
-
-
-def test_session_grid_matches_legacy_entry_point():
-    """Session.grid equals the legacy sweep_network_grid shim for a grid
-    mixing device counts, drift and staggered joins."""
-    grid = (
-        scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1])
-        + [drifting_pair(eta=0.05, drift_ppm=40, seed=2)]
-        + [gradual_join(n_devices=3, eta=0.05, seed=3)]
-    )
-    legacy = sweep_network_grid(
-        grid, jobs=2, base_seed=11, advertising_jitter=300
-    )
-    spec = RunSpec(grid=grid, seed=11, advertising_jitter=300)
-    with Session(RuntimeProfile(jobs=2)) as session:
-        facade = session.grid(spec).raw
-    assert facade == legacy
+        assert pool.executor() is executor
 
 
 def test_session_lifecycle_leaks_nothing():
@@ -656,7 +682,7 @@ def test_session_lifecycle_leaks_nothing():
     offsets, horizon = _workload(protocol_e, protocol_f)
     spec = RunSpec(pair=(protocol_e, protocol_f), offsets=list(offsets),
                    horizon=horizon)
-    with Session(RuntimeProfile(backend="pooled", jobs=2)) as session:
+    with Session(RuntimeProfile(jobs=2)) as session:
         session.sweep(spec)
         session.grid(RunSpec(
             grid=scenario_grid(dense_network, n_devices=[3, 4], eta=[0.05],

@@ -323,7 +323,7 @@ class TestRecovery:
 
     def test_grid_resumes_from_checkpoint(self, tmp_path, monkeypatch):
         calls = {"n": 0}
-        real = service_module._network_one_cfg
+        real = service_module._network_one
 
         def flaky(config, item):
             calls["n"] += 1
@@ -331,7 +331,7 @@ class TestRecovery:
                 raise BrokenProcessPool("simulated pool-child SIGKILL")
             return real(config, item)
 
-        monkeypatch.setattr(service_module, "_network_one_cfg", flaky)
+        monkeypatch.setattr(service_module, "_network_one", flaky)
 
         async def main():
             service, _ = await make_service(tmp_path, workers=1)

@@ -529,8 +529,8 @@ class TestSessionStore:
         assert second.timings == first.timings  # the stored recipe
 
     def test_hits_invariant_across_runtime_profiles(self, tmp_path):
-        # The acceptance property: RuntimeProfile knobs (backend/jobs/
-        # schedule) never change identity, so a store warmed under one
+        # The acceptance property: RuntimeProfile knobs (backend/jobs)
+        # never change identity, so a store warmed under one
         # profile serves every other profile.
         store = ResultStore(tmp_path / "store")
         with Session(RuntimeProfile(backend="python"), store=store) as s:
@@ -538,7 +538,7 @@ class TestSessionStore:
         assert cold.store_meta["hit"] is False
         for profile in (
             RuntimeProfile(backend="auto"),
-            RuntimeProfile(jobs=2, schedule="chunk"),
+            RuntimeProfile(jobs=2),
         ):
             with Session(profile, store=store) as s:
                 warm = s.sweep(SPEC)

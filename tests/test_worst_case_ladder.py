@@ -4,7 +4,8 @@ Four contract groups:
 
 * **Ladder equivalence** -- ``fidelity="exact"`` (the default) is
   bit-identical to the pre-ladder engine composition across the full
-  13-family protocol zoo, for every registered kernel.
+  13-family protocol zoo, on every execution path (each kernel
+  in-process, and ``jobs=2``).
 * **Budgets** -- a larger ``budget_ms`` never widens the reported bound
   interval (the dense tier's offsets are prefix-nested), tier selection
   is a pure function of the spec under a pinned cost model, and the
@@ -27,7 +28,7 @@ import pytest
 
 from repro.api import RunSpec, Session, SpecError
 from repro.api.result import rehydrate_raw
-from repro.backends import available_backends, CriticalSetTooLarge
+from repro.backends import CriticalSetTooLarge
 from repro.parallel import ParallelSweep
 from repro.parallel.schedule import use_cost_weights
 from repro.protocols import Disco, Nihao, Role
@@ -42,9 +43,7 @@ from repro.simulation.runner import (
     _select_spot_check_offsets,
     _verified_worst_case_impl,
 )
-from tests.test_parallel_equivalence_zoo import ZOO
-
-BACKENDS = available_backends()
+from tests.test_parallel_equivalence_zoo import PATH_IDS, PATHS, ZOO
 
 OMEGA = 16
 SPOT_CHECKS = 6  # same on both sides of every equivalence comparison
@@ -115,12 +114,12 @@ def _legacy_engine(
 # ----------------------------------------------------------------------
 # Ladder equivalence: exact mode == the pre-ladder engine, whole zoo.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
 @pytest.mark.parametrize("family", list(ZOO), ids=list(ZOO))
-def test_exact_mode_bit_identical_to_legacy_engine(family, backend):
+def test_exact_mode_bit_identical_to_legacy_engine(family, path):
     protocol_e, protocol_f = ZOO[family]()
     horizon = _horizon(protocol_e, protocol_f)
-    sweeper = ParallelSweep(jobs=1, backend=backend)
+    sweeper = ParallelSweep(**path)
     report, agrees, n_offsets, fell_back = _legacy_engine(
         protocol_e, protocol_f, horizon, OMEGA, sweeper
     )
@@ -128,9 +127,9 @@ def test_exact_mode_bit_identical_to_legacy_engine(family, backend):
         protocol_e, protocol_f, horizon, omega=OMEGA,
         des_spot_checks=SPOT_CHECKS, sweeper=sweeper,
     )
-    assert outcome.analytic == report, (family, backend)
-    assert outcome.des_agrees == agrees, (family, backend)
-    assert outcome.offsets_checked == n_offsets, (family, backend)
+    assert outcome.analytic == report, (family, path)
+    assert outcome.des_agrees == agrees, (family, path)
+    assert outcome.offsets_checked == n_offsets, (family, path)
     assert outcome.budget_ms is None
     assert outcome.fallback_used == fell_back
     if fell_back:
