@@ -36,7 +36,10 @@ Phases:
   arena.
 * **DES spot checks** -- in-process vs the persistent pool.
 * **cost fit** -- measured per-scenario grid wall-clock, regressed by
-  :func:`repro.parallel.fit_cost_weights` into scheduler cost weights.
+  :func:`repro.parallel.fit_cost_weights` and recorded next to the
+  pinned :data:`repro.parallel.COST_WEIGHTS` (with their ratio) so the
+  drift between this machine and the planner's prices stays visible.
+  The fit is never installed: every phase prices with the pinned pair.
 * **worst_case** -- the adaptive-fidelity ladder behind
   ``Session.worst_case`` over the 13-family equivalence zoo plus two
   heavy Disco pairs: exact mode hard-gated bit-identical to the
@@ -73,13 +76,14 @@ from repro.backends.pooled import PooledBackend, shutdown_pooled_backends
 from repro.core.optimal import synthesize_symmetric
 from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import (
+    COST_WEIGHTS,
     derive_seed,
     fit_cost_weights,
     get_listening_cache,
     invalidate_listening_caches,
     ParallelSweep,
 )
-from repro.parallel.schedule import cost_components, use_cost_weights
+from repro.parallel.schedule import cost_components
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -522,10 +526,11 @@ def main(argv: list[str] | None = None) -> int:
         f"bit-identical: {spot_identical}"
     )
 
-    # Phase: measured per-scenario grid wall-clock for cost-model
-    # calibration.  Serial, one run per scenario, seeds derived exactly
-    # as the grid driver derives them; the recorded event-rate
-    # components are what fit_cost_weights regresses seconds onto.
+    # Phase: measured per-scenario grid wall-clock, fitted to show the
+    # drift from the pinned cost weights.  Serial, one run per
+    # scenario, seeds derived exactly as map_scenarios derives them;
+    # the recorded event-rate components are what fit_cost_weights
+    # regresses seconds onto.
     grid = scenario_grid(
         dense_network, n_devices=[3, 6], eta=[0.02, 0.05], seed=[0]
     )
@@ -546,86 +551,85 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
     fitted = fit_cost_weights({"per_scenario": per_scenario})
+    drift = [fit / pinned for fit, pinned in zip(fitted, COST_WEIGHTS)]
     print(
         f"cost fit     : {len(per_scenario)} scenarios -> weights "
-        f"(beacon={fitted[0]:.3e}, window={fitted[1]:.3e})"
+        f"(beacon={fitted[0]:.3e}, window={fitted[1]:.3e}); "
+        f"pinned (beacon={COST_WEIGHTS[0]:.3e}, "
+        f"window={COST_WEIGHTS[1]:.3e})"
     )
 
     # Phase: adaptive-fidelity worst-case ladder.  Exact mode must stay
     # bit-identical to the pre-ladder engine composition across the
     # 13-family zoo -- a hard exit gate, folded into ``identical``.
-    # Bounded mode reruns every family under a 100 ms budget with the
-    # freshly fitted cost weights installed (so the planner prices
-    # tiers in this machine's milliseconds).  ``budget_ratio`` records
-    # how far each bounded query over- or undershot its budget.
+    # Bounded mode reruns every family under a 100 ms budget, priced
+    # with the pinned cost weights like every user query.
+    # ``budget_ratio`` records how far each bounded query over- or
+    # undershot its budget.
     wc_rows = []
     wc_identical = True
     wc_budget_met = []
     wc_exact_over = []
-    previous_weights = use_cost_weights(fitted)
-    try:
-        wc_sweeper = ParallelSweep(jobs=1)
-        for family, build in worst_case_zoo().items():
-            wc_e, wc_f = build()
-            wc_horizon = _wc_horizon(wc_e, wc_f)
-            legacy_report, legacy_agrees, legacy_n = _legacy_worst_case(
-                wc_e, wc_f, wc_horizon, wc_sweeper
-            )
-            exact_s, exact_outcome = best_of(
-                1,
-                lambda: _verified_worst_case_impl(
-                    wc_e, wc_f, wc_horizon, omega=WC_OMEGA,
-                    des_spot_checks=WC_SPOT_CHECKS, sweeper=wc_sweeper,
-                ),
-            )
-            family_identical = (
-                exact_outcome.analytic == legacy_report
-                and exact_outcome.des_agrees == legacy_agrees
-                and exact_outcome.offsets_checked == legacy_n
-            )
-            wc_identical = wc_identical and family_identical
-            bounded_s, bounded_outcome = best_of(
-                1,
-                lambda: _verified_worst_case_impl(
-                    wc_e, wc_f, wc_horizon, omega=WC_OMEGA,
-                    des_spot_checks=WC_SPOT_CHECKS, sweeper=wc_sweeper,
-                    fidelity="auto", budget_ms=WC_BUDGET_MS,
-                ),
-            )
-            truth = exact_outcome.analytic.worst_one_way
-            lo, hi = bounded_outcome.bound_interval
-            accuracy = None
-            if truth and lo is not None:
-                accuracy = lo / truth
-            budget_ratio = bounded_s * 1000.0 / WC_BUDGET_MS
-            if budget_ratio <= 1.0:
-                wc_budget_met.append(family)
-            if exact_s * 1000.0 > WC_BUDGET_MS:
-                wc_exact_over.append(family)
-            wc_rows.append(
-                {
-                    "family": family,
-                    "horizon": wc_horizon,
-                    "exact_seconds": exact_s,
-                    "bounded_seconds": bounded_s,
-                    "budget_ratio": budget_ratio,
-                    "exact_offsets": exact_outcome.offsets_checked,
-                    "bounded_offsets": bounded_outcome.offsets_checked,
-                    "bounded_fidelity": bounded_outcome.fidelity,
-                    "bound_interval": [lo, hi],
-                    "exact_worst_one_way": truth,
-                    "accuracy": accuracy,
-                    "exact_bit_identical": family_identical,
-                }
-            )
-            print(
-                f"worst-case   : {family:<20} exact {exact_s * 1000:8.1f} ms"
-                f"   bounded {bounded_s * 1000:7.1f} ms"
-                f" ({budget_ratio:4.2f}x budget) [{bounded_outcome.fidelity}]"
-                f"   bit-identical: {family_identical}"
-            )
-    finally:
-        use_cost_weights(previous_weights)
+    wc_sweeper = ParallelSweep(jobs=1)
+    for family, build in worst_case_zoo().items():
+        wc_e, wc_f = build()
+        wc_horizon = _wc_horizon(wc_e, wc_f)
+        legacy_report, legacy_agrees, legacy_n = _legacy_worst_case(
+            wc_e, wc_f, wc_horizon, wc_sweeper
+        )
+        exact_s, exact_outcome = best_of(
+            1,
+            lambda: _verified_worst_case_impl(
+                wc_e, wc_f, wc_horizon, omega=WC_OMEGA,
+                des_spot_checks=WC_SPOT_CHECKS, sweeper=wc_sweeper,
+            ),
+        )
+        family_identical = (
+            exact_outcome.analytic == legacy_report
+            and exact_outcome.des_agrees == legacy_agrees
+            and exact_outcome.offsets_checked == legacy_n
+        )
+        wc_identical = wc_identical and family_identical
+        bounded_s, bounded_outcome = best_of(
+            1,
+            lambda: _verified_worst_case_impl(
+                wc_e, wc_f, wc_horizon, omega=WC_OMEGA,
+                des_spot_checks=WC_SPOT_CHECKS, sweeper=wc_sweeper,
+                fidelity="auto", budget_ms=WC_BUDGET_MS,
+            ),
+        )
+        truth = exact_outcome.analytic.worst_one_way
+        lo, hi = bounded_outcome.bound_interval
+        accuracy = None
+        if truth and lo is not None:
+            accuracy = lo / truth
+        budget_ratio = bounded_s * 1000.0 / WC_BUDGET_MS
+        if budget_ratio <= 1.0:
+            wc_budget_met.append(family)
+        if exact_s * 1000.0 > WC_BUDGET_MS:
+            wc_exact_over.append(family)
+        wc_rows.append(
+            {
+                "family": family,
+                "horizon": wc_horizon,
+                "exact_seconds": exact_s,
+                "bounded_seconds": bounded_s,
+                "budget_ratio": budget_ratio,
+                "exact_offsets": exact_outcome.offsets_checked,
+                "bounded_offsets": bounded_outcome.offsets_checked,
+                "bounded_fidelity": bounded_outcome.fidelity,
+                "bound_interval": [lo, hi],
+                "exact_worst_one_way": truth,
+                "accuracy": accuracy,
+                "exact_bit_identical": family_identical,
+            }
+        )
+        print(
+            f"worst-case   : {family:<20} exact {exact_s * 1000:8.1f} ms"
+            f"   bounded {bounded_s * 1000:7.1f} ms"
+            f" ({budget_ratio:4.2f}x budget) [{bounded_outcome.fidelity}]"
+            f"   bit-identical: {family_identical}"
+        )
     identical = identical and wc_identical
     wc_frontier = sorted(set(wc_exact_over) & set(wc_budget_met))
     print(
@@ -769,6 +773,14 @@ def main(argv: list[str] | None = None) -> int:
         "fitted_cost_weights": {
             "beacon": fitted[0],
             "window": fitted[1],
+        },
+        "pinned_cost_weights": {
+            "beacon": COST_WEIGHTS[0],
+            "window": COST_WEIGHTS[1],
+        },
+        "fitted_over_pinned": {
+            "beacon": drift[0],
+            "window": drift[1],
         },
         "worst_one_way": reference_report.worst_one_way,
         "worst_two_way": reference_report.worst_two_way,

@@ -2,22 +2,22 @@
 
 This package is the single public entry point over the runtime stack.
 Two serializable dataclasses separate *what* an experiment is from
-*how* it runs:
+*where* it runs:
 
 * :class:`RunSpec` -- protocols / scenario / grid, reception model,
   fidelity knobs, DES spot-check policy (:mod:`repro.api.spec`);
-* :class:`RuntimeProfile` -- kernel (``auto``/``python``/``numpy``),
-  ``jobs`` (the one multi-process switch: ``<= 1`` in-process, ``> 1``
-  the shared persistent pool), mp context, cache limits, fitted cost
-  weights, result store; loadable from TOML/JSON
-  (``RuntimeProfile.load``, the CLI's ``--profile``);
+* :class:`RuntimeProfile` -- four fields: kernel
+  (``auto``/``python``/``numpy``), ``jobs`` (the one multi-process
+  switch: ``<= 1`` in-process, ``> 1`` the shared persistent pool), mp
+  context and result store; loadable from TOML/JSON
+  (``RuntimeProfile.load``, the CLI's ``--profile``).  No profile field
+  can change a result, which is why store fingerprints leave it out;
 
 and one context-managed facade runs them:
 
-* :class:`Session` -- resolves the backend once, owns every resource it
-  creates (persistent pools via refcounts, session-scoped cache caps
-  and cost weights, cache fingerprints under ``cache_policy="release"``)
-  and releases them deterministically on ``__exit__``;
+* :class:`Session` -- resolves the backend once, installs no
+  process-wide state, and releases the one shared resource it holds (a
+  refcount on the persistent pool) deterministically on ``__exit__``;
 * :class:`RunResult` -- what each verb returns: payload + provenance
   (spec, profile, resolved backend, timings), JSON round-trippable into
   ``results/``.
@@ -35,7 +35,8 @@ within ``RunSpec.budget_ms``; ``"auto"`` -- exact when unbudgeted,
 budgeted otherwise), and the adaptive ladder behind
 ``Session.worst_case`` prices its tiers (analytic bound, critical
 enumeration, dense low-discrepancy sweep, DES spot checks) with the
-fitted cost weights of :mod:`repro.parallel.schedule`.  Every
+pinned cost weights of :mod:`repro.parallel.schedule`, so the plan is
+a pure function of the spec.  Every
 :class:`~repro.simulation.PairWorstCase` carries the **provenance
 contract**: ``fidelity`` of the verdict, the one-way ``bound_interval``
 (``(w, w)`` when exact), the ``tiers`` that ran with their planner

@@ -28,9 +28,11 @@ faster.
   instead of copying them.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
-* :func:`fit_cost_weights` / :func:`use_cost_weights` -- calibrate the
-  grid scheduler's event-rate cost model from measured per-scenario
-  wall-clock (``results/BENCH_parallel.json``).
+* :data:`~repro.parallel.schedule.COST_WEIGHTS` -- the one pinned
+  price list of the grid scheduler and the worst-case ladder planner;
+  submission order and tier plans are pure functions of the spec.
+  :func:`fit_cost_weights` fits measured per-scenario wall-clock
+  (``results/BENCH_parallel.json``) so drift from the pin stays visible.
 
 Cache invalidation contract
 ---------------------------
@@ -71,39 +73,31 @@ from .cache import (
     get_listening_cache,
     invalidate_listening_caches,
     ListeningCache,
-    listening_cache_fingerprints,
     listening_cache_stats,
     protocol_fingerprint,
-    set_listening_cache_cap,
 )
 from .executor import ParallelSweep
 from .schedule import (
-    calibration_rows,
-    cost_weights,
+    COST_WEIGHTS,
     estimate_scenario_cost,
     fit_cost_weights,
     plan_longest_first,
-    use_cost_weights,
 )
 from .shm import PatternArena, PatternHandle
 
 __all__ = [
-    "calibration_rows",
-    "cost_weights",
+    "COST_WEIGHTS",
     "derive_seed",
     "estimate_scenario_cost",
     "fit_cost_weights",
     "get_listening_cache",
     "invalidate_listening_caches",
     "ListeningCache",
-    "listening_cache_fingerprints",
     "listening_cache_stats",
     "ParallelSweep",
     "PatternArena",
     "PatternHandle",
     "plan_longest_first",
     "protocol_fingerprint",
-    "set_listening_cache_cap",
-    "use_cost_weights",
 ]
 

@@ -34,7 +34,6 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
-import time
 
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
@@ -100,18 +99,6 @@ def _network_one(config: dict, item: tuple[int, object]):
         turnaround=config["turnaround"],
         advertising_jitter=config["advertising_jitter"],
     )
-
-
-def _network_one_timed(config: dict, item: tuple[int, object]):
-    """:func:`_network_one` plus its wall-clock, measured where it ran.
-
-    The simulation is seed-deterministic and never reads the clock, so
-    the timing wrapper cannot perturb results; the seconds feed
-    ``map_scenarios(collect_timings=True)`` cost-weight calibration.
-    """
-    started = time.perf_counter()
-    result = _network_one(config, item)
-    return result, time.perf_counter() - started
 
 
 class ParallelSweep:
@@ -275,7 +262,6 @@ class ParallelSweep:
         reception_model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
         advertising_jitter: int = 0,
-        collect_timings: bool = False,
     ) -> list:
         """Run one network simulation per scenario, in input order.
 
@@ -284,12 +270,6 @@ class ParallelSweep:
         scenarios are submitted individually longest-estimated-first
         (idle workers steal from the pool's shared queue) and merged
         back at their grid index.
-
-        ``collect_timings=True`` returns ``(results, seconds)`` instead:
-        per-scenario wall-clock measured *inside* the process that ran
-        each scenario, grid-ordered like the results.  This feeds
-        :meth:`repro.api.Session.grid`'s cost-weight auto-calibration;
-        the results list is bit-identical either way.
         """
         scenarios = list(scenarios)
         config = {
@@ -300,19 +280,9 @@ class ParallelSweep:
         }
         pool = self._pool()
         if pool is None or len(scenarios) < 2:
-            timed = [
-                _network_one_timed(config, item)
-                for item in enumerate(scenarios)
-            ]
-        else:
-            futures = {
-                index: pool.submit(
-                    _network_one_timed, config, (index, scenarios[index])
-                )
-                for index in plan_longest_first(scenarios)
-            }
-            timed = [futures[index].result() for index in sorted(futures)]
-        results = [result for result, _ in timed]
-        if not collect_timings:
-            return results
-        return results, [seconds for _, seconds in timed]
+            return [_network_one(config, item) for item in enumerate(scenarios)]
+        futures = {
+            index: pool.submit(_network_one, config, (index, scenarios[index]))
+            for index in plan_longest_first(scenarios)
+        }
+        return [futures[index].result() for index in sorted(futures)]

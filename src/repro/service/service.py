@@ -55,7 +55,7 @@ from pathlib import PurePath
 from typing import Mapping
 
 from ..api.result import network_result_payload, RunResult
-from ..api.session import Session
+from ..api.session import resolve_store, Session
 from ..api.spec import build_grid, RunSpec, RuntimeProfile, SpecError
 from ..backends.pooled import PooledBackend
 from ..campaign.campaign import VERBS
@@ -136,7 +136,7 @@ class SweepService:
         elif isinstance(profile, (str, PurePath)):
             profile = RuntimeProfile.load(profile)
         self.profile = profile
-        self.store = self._resolve_store(store)
+        self.store = resolve_store(store, profile)
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
         self.job_timeout = job_timeout
@@ -537,22 +537,6 @@ class SweepService:
     # ------------------------------------------------------------------
     # Compute (executor threads)
     # ------------------------------------------------------------------
-    def _resolve_store(self, store):
-        if store is None:
-            store = self.profile.store
-        if store is None:
-            return None
-        from ..store import ResultStore
-
-        if isinstance(store, ResultStore):
-            return store
-        if isinstance(store, (str, PurePath)):
-            return ResultStore(store)
-        raise TypeError(
-            f"store must be a ResultStore, a directory path or None, "
-            f"got {store!r}"
-        )
-
     def _thread_session(self) -> Session:
         """This executor thread's sibling session (shared store
         instance; for ``jobs > 1`` the shared persistent pool)."""

@@ -14,10 +14,10 @@ payload is ``RunSpec.to_dict()`` with the declarative ``pair``
 description replaced by its schema-canonical form
 (:func:`repro.protocols.canonical_pair`).  Invariants:
 
-* :class:`~repro.api.RuntimeProfile` runtime knobs (backend, jobs,
-  mp_context, ...) never enter the hash -- results are
-  bit-identical across them per the kernel-equivalence gates, so one
-  entry serves every runtime.
+* :class:`~repro.api.RuntimeProfile` fields (backend, jobs,
+  mp_context, store) never enter the hash -- they say only where work
+  runs, results are bit-identical across them per the
+  kernel-equivalence gates, so one entry serves every runtime.
 * JSON round-trips of the same spec hash identically (tuples normalize
   to lists before hashing).
 * Pair descriptions hash by constructor schema with defaults filled

@@ -33,10 +33,9 @@ from repro.core.sequences import BeaconSchedule, NDProtocol, ReceptionSchedule
 from repro.parallel import ParallelSweep
 from repro.parallel.schedule import (
     cost_components,
-    cost_weights,
+    COST_WEIGHTS,
     default_simulation_cost,
     fit_cost_weights,
-    use_cost_weights,
 )
 from repro.simulation import evaluate_offsets, ReceptionModel, sweep_offsets
 from repro.workloads import dense_network, symmetric_pair
@@ -511,16 +510,14 @@ class TestEnumerateCriticalOffsets:
 
 
 class TestCostModelCalibration:
-    def teardown_method(self):
-        use_cost_weights(None)
-
     def test_components_sum_to_default_cost(self):
         scenario = dense_network(n_devices=4, eta=0.02)
         beacon, window = cost_components(scenario.protocols, scenario.horizon)
         assert beacon > 0 and window > 0
+        w_beacon, w_window = COST_WEIGHTS
         assert math.isclose(
             default_simulation_cost(scenario.protocols, scenario.horizon),
-            beacon + window,
+            w_beacon * beacon + w_window * window,
         )
 
     def test_fit_recovers_exact_synthetic_weights(self):
@@ -569,20 +566,13 @@ class TestCostModelCalibration:
         path.write_text(json.dumps(payload))
         assert fit_cost_weights(path) == fit_cost_weights(payload)
 
-    def test_installed_weights_reach_cost_hint(self):
+    def test_pinned_weights_reach_cost_hint(self):
         scenario = symmetric_pair(eta=0.02)
-        baseline = scenario.cost_hint()
-        previous = use_cost_weights((2.0, 2.0))
-        try:
-            assert math.isclose(scenario.cost_hint(), 2.0 * baseline)
-        finally:
-            use_cost_weights(previous)
-        assert math.isclose(scenario.cost_hint(), baseline)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            use_cost_weights((-1.0, 1.0))
-        assert cost_weights() == (1.0, 1.0)
+        beacon, window = cost_components(scenario.protocols, scenario.horizon)
+        w_beacon, w_window = COST_WEIGHTS
+        assert math.isclose(
+            scenario.cost_hint(), w_beacon * beacon + w_window * window
+        )
 
     def test_fit_rejects_payload_without_per_scenario_rows(self):
         # A pre-PR-3 bench payload must produce a clear error, not an

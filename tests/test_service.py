@@ -4,6 +4,7 @@ protocol."""
 
 import asyncio
 import json
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -12,6 +13,7 @@ import repro.service.service as service_module
 from repro.api import RunSpec, RuntimeProfile, Session, SpecError
 from repro.campaign import Campaign
 from repro.service import (
+    Job,
     JobFailed,
     ProtocolError,
     RemoteClient,
@@ -293,18 +295,29 @@ class TestRecovery:
         assert service._stats["retries"] == 0
 
     def test_timeout_counts_and_retries(self, tmp_path, monkeypatch):
+        # The first attempt hangs until the service gives up on it: it
+        # blocks on an event only the job's "retry" event sets, so the
+        # one executor thread is free again as soon as the timeout has
+        # fired and the retry never queues behind its own hung attempt.
         calls = {"n": 0}
         real = SweepService._compute
+        retried = threading.Event()
+        real_emit = Job.emit
 
-        def slow_once(self, job):
+        def emit(self, kind, data=None):
+            if kind == "retry":
+                retried.set()
+            return real_emit(self, kind, data)
+
+        def hang_once(self, job):
             calls["n"] += 1
             if calls["n"] == 1:
-                import time
-
-                time.sleep(0.6)
+                assert retried.wait(timeout=30)
+                return None  # the timed-out attempt's result is discarded
             return real(self, job)
 
-        monkeypatch.setattr(SweepService, "_compute", slow_once)
+        monkeypatch.setattr(Job, "emit", emit)
+        monkeypatch.setattr(SweepService, "_compute", hang_once)
 
         async def main():
             service, _ = await make_service(
@@ -320,6 +333,10 @@ class TestRecovery:
         assert service._stats["timeouts"] >= 1
         assert job.attempts >= 2
         assert result.payload["offsets_evaluated"] == 16
+        kinds = [event["kind"] for event in job.events]
+        assert [k for k in kinds if k in ("running", "retry", "done")] == [
+            "running", "retry", "running", "done",
+        ]
 
     def test_grid_resumes_from_checkpoint(self, tmp_path, monkeypatch):
         calls = {"n": 0}

@@ -26,18 +26,17 @@ import math
 
 import pytest
 
-from repro.api import RunSpec, Session, SpecError
+from repro.api import RunSpec, RuntimeProfile, Session, SpecError
 from repro.api.result import rehydrate_raw
 from repro.backends import CriticalSetTooLarge
 from repro.parallel import ParallelSweep
-from repro.parallel.schedule import use_cost_weights
+from repro.parallel.schedule import cost_components, COST_WEIGHTS
 from repro.protocols import Disco, Nihao, Role
 from repro.simulation import critical_offsets, ReceptionModel
 from repro.simulation.ladder import (
     estimate_critical_count,
     LadderPlanner,
     low_discrepancy_offsets,
-    REFERENCE_WEIGHTS,
 )
 from repro.simulation.runner import (
     _select_spot_check_offsets,
@@ -188,21 +187,31 @@ def test_rehydrate_pre_provenance_payload_uses_defaults():
 # ----------------------------------------------------------------------
 # Budgets: monotone intervals, deterministic tier selection, validation.
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def pinned_weights():
-    previous = use_cost_weights(REFERENCE_WEIGHTS)
-    try:
-        yield
-    finally:
-        use_cost_weights(previous)
-
-
 def _disco_pair():
     proto = Disco(3, 5, slot_length=200, omega=OMEGA)
     return proto.device(Role.E), proto.device(Role.F)
 
 
-def test_budget_monotonicity(pinned_weights):
+def test_planner_prices_with_the_pinned_weights():
+    """One DES replay is priced at the pinned weights over the pair's
+    event-rate components, inside a session exactly as outside: no
+    profile or session can reprice the ladder."""
+    protocol_e, protocol_f = _disco_pair()
+    horizon = _horizon(protocol_e, protocol_f)
+    beacon, window = cost_components((protocol_e, protocol_f), horizon)
+    w_beacon, w_window = COST_WEIGHTS
+    expected_des_ms = (w_beacon * beacon + w_window * window) * 1000.0
+    outside = LadderPlanner(protocol_e, protocol_f, horizon)
+    assert outside.des_ms == expected_des_ms
+    with Session(RuntimeProfile(backend="python", jobs=2)) as session:
+        session.backend  # resolve the runtime, as a verb would
+        inside = LadderPlanner(protocol_e, protocol_f, horizon)
+    assert (inside.des_ms, inside.offset_ms) == (
+        outside.des_ms, outside.offset_ms,
+    )
+
+
+def test_budget_monotonicity():
     """A larger budget never widens the bound interval: the lower bound
     is non-decreasing, the width non-increasing, and the evaluated
     offset count non-decreasing up to the exact tier."""
@@ -235,7 +244,7 @@ def test_budget_monotonicity(pinned_weights):
     assert outcomes[-1].analytic == exact.analytic
 
 
-def test_bounded_lower_bound_never_exceeds_exact(pinned_weights):
+def test_bounded_lower_bound_never_exceeds_exact():
     """Every bounded interval brackets the exact answer."""
     protocol_e, protocol_f = _disco_pair()
     horizon = _horizon(protocol_e, protocol_f)
@@ -256,7 +265,7 @@ def test_bounded_lower_bound_never_exceeds_exact(pinned_weights):
         assert hi >= truth
 
 
-def test_tier_selection_deterministic(pinned_weights):
+def test_tier_selection_deterministic():
     """Same spec + same cost model => identical result objects,
     provenance included (the store/parallel equality contract)."""
     protocol_e, protocol_f = _disco_pair()
@@ -276,7 +285,7 @@ def test_tier_selection_deterministic(pinned_weights):
         assert "seconds" not in tier and "wall" not in tier
 
 
-def test_over_budget_critical_tier_is_priced_and_skipped(pinned_weights):
+def test_over_budget_critical_tier_is_priced_and_skipped():
     """A budget below the exact tier's estimated price records the
     priced skip -- from the analytic count estimate, without paying the
     enumeration -- and degrades to the dense tier."""
@@ -334,7 +343,7 @@ def test_spec_budget_validation_matrix():
         RunSpec(pair=pair, fidelity="auto", budget_ms=-5.0)
 
 
-def test_session_budgeted_worst_case_carries_budget(pinned_weights):
+def test_session_budgeted_worst_case_carries_budget():
     pair = {
         "kind": "zoo",
         "protocol": "Disco",
@@ -499,7 +508,7 @@ def test_attempt_timeout_tightened_by_budget():
     asyncio.run(scenario())
 
 
-def test_service_budgeted_submission_round_trip(pinned_weights):
+def test_service_budgeted_submission_round_trip():
     """A budgeted worst_case through the live service completes within
     its (slacked) deadline tier and carries provenance end to end."""
     from repro.service import ServiceClient, SweepService
