@@ -15,35 +15,22 @@ slot length ``I`` dwarfs the packet duration ``omega``:
 
 import pytest
 
-from repro.core.slotted_bounds import slot_length_analysis
+from repro.campaign.golden import (
+    OMEGA,
+    SIM_SLOTS,
+    slot_analytic_rows as analytic_rows,
+    zoo_offsets,
+)
 from repro.protocols import Role, Searchlight
 from repro.simulation import sweep_offsets
-
-OMEGA = 32
-RATIOS = [2, 3, 4, 8, 16, 64, 256]
-SIM_SLOTS = [96, 160, 320, 1_280]  # I = 3, 5, 10, 40 omega
-
-
-def analytic_rows():
-    return [
-        [
-            r,
-            slot_length_analysis(float(r)).overlap_success_fraction,
-            slot_length_analysis(float(r)).latency_penalty,
-        ]
-        for r in RATIOS
-    ]
 
 
 def empirical_failure_fraction(slot_length, n_offsets=400, sweep=sweep_offsets):
     proto = Searchlight(8, slot_length=slot_length, omega=OMEGA)
-    device_e, device_f = proto.device(Role.E), proto.device(Role.F)
-    period = int(device_e.beacons.period)
-    step = max(1, period // n_offsets)
     report = sweep(
-        device_e,
-        device_f,
-        range(0, period, step),
+        proto.device(Role.E),
+        proto.device(Role.F),
+        zoo_offsets(proto, n_offsets, slot_filter=False),
         horizon=int(proto.predicted_worst_case_latency() * 3),
     )
     return report.failures / report.offsets_evaluated

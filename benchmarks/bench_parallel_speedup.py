@@ -23,17 +23,16 @@ Phases:
 
 * **pattern build** -- cold (fresh registry) vs registry-warm.
 * **sweep** -- the fixed sweep through the uncached reference, the
-  ``python`` and ``numpy`` kernels in-process (plus the numpy batch
-  formulation the incremental strided engine replaces), and the
+  ``python`` and ``numpy`` kernels in-process, and the
   persistent pool at ``--jobs`` workers, cold and warm.  numpy ==
   python bit-identity is a hard exit gate; a perf floor requires the
   numpy kernel to stay >= 3x over python.
 * **critical-offset enumeration** on Disco 101x103 (a ~156k-offset
   critical set), python reference vs the vectorized kernel,
   bit-identity hard-gated.
-* **pool arena cold start** -- one cold sweep through two private
-  spawn-context pools, with and without the shared-memory pattern
-  arena.
+* **pool arena cold start** -- one cold sweep through a private
+  spawn-context pool whose workers map the parent's patterns from the
+  shared-memory pattern arena, bit-identity hard-gated.
 * **DES spot checks** -- in-process vs the persistent pool.
 * **cost fit** -- measured per-scenario grid wall-clock, regressed by
   :func:`repro.parallel.fit_cost_weights` and recorded next to the
@@ -69,7 +68,6 @@ from repro.backends import (
     available_backends,
     default_backend_name,
     numpy_version,
-    NumpyBackend,
     SweepParams,
 )
 from repro.backends.pooled import PooledBackend, shutdown_pooled_backends
@@ -371,25 +369,6 @@ def main(argv: list[str] | None = None) -> int:
             f"kernel numpy : {numpy_s:.3f} s   {kernel_speedup:.2f}x over "
             f"python   bit-identical: {kernel_identical}"
         )
-        # The fixed offsets are an arithmetic progression, so the numpy
-        # timing above took the incremental strided path; forcing
-        # use_incremental=False times the batch kernel it replaces.
-        batch_s, batch_report = best_of(
-            args.repeats,
-            lambda: sweep_through(ParallelSweep(
-                jobs=1, backend=NumpyBackend(use_incremental=False)
-            )),
-        )
-        batch_identical = batch_report == numpy_report
-        identical = identical and batch_identical
-        backend_timings["numpy_batch_seconds"] = batch_s
-        backend_timings["incremental_speedup_over_batch"] = (
-            batch_s / numpy_s if numpy_s > 0 else float("inf")
-        )
-        print(
-            f"kernel incr  : {numpy_s:.3f} s incremental vs {batch_s:.3f} s "
-            f"batch   bit-identical: {batch_identical}"
-        )
     # The persistent pool: the first sweep pays pool startup, later
     # sweeps reuse warm workers.
     pooled = ParallelSweep(jobs=args.jobs)
@@ -450,15 +429,14 @@ def main(argv: list[str] | None = None) -> int:
             f"python   bit-identical: {enum_identical}"
         )
 
-    # Phase: pool cold start with vs without the shared-memory pattern
-    # arena, under spawn (the start method whose workers rebuild every
-    # pattern from scratch -- fork gets the parent registry for free).
-    # The workload is a heavy-pattern pair (PeriodicInterval 997x10007:
-    # ~2 s of exact segment derivation per cold build) with the parent
-    # registry prewarmed, matching a real session: the parent holds the
-    # pattern, and the question is whether each spawn worker re-derives
-    # it (no arena) or maps the parent's copy (arena).  Private pools so
-    # neither run reuses the other's workers; one cold sweep each.
+    # Phase: pool cold start under spawn (the start method whose workers
+    # would otherwise rebuild every pattern from scratch -- fork gets the
+    # parent registry for free).  The workload is a heavy-pattern pair
+    # (PeriodicInterval 997x10007: ~2 s of exact segment derivation per
+    # cold build) with the parent registry prewarmed, matching a real
+    # session: the parent holds the pattern and each spawn worker maps
+    # the parent's copy from the pool's pattern arena.  A private pool,
+    # so the run reuses no earlier workers; one cold sweep.
     arena_proto = PeriodicInterval(997, 10_007, 100, omega=32,
                                    bidirectional=True)
     arena_e, arena_f = arena_proto.device(Role.E), arena_proto.device(Role.F)
@@ -471,33 +449,22 @@ def main(argv: list[str] | None = None) -> int:
     arena_reference = ParallelSweep(
         jobs=1, backend="python"
     ).evaluate_offsets(arena_e, arena_f, arena_offsets, 1_000_000)
-    arena_timings = {}
-    for label, use_arena in (("arena", True), ("no_arena", False)):
-        private = PooledBackend(
-            jobs=args.jobs, mp_context="spawn", use_arena=use_arena
+    private = PooledBackend(jobs=args.jobs, mp_context="spawn")
+    try:
+        arena_s, arena_outcomes = best_of(
+            1,
+            lambda: private.evaluate_offsets_batch(
+                arena_params, arena_offsets
+            ),
         )
-        try:
-            seconds, outcomes = best_of(
-                1,
-                lambda: private.evaluate_offsets_batch(
-                    arena_params, arena_offsets
-                ),
-            )
-        finally:
-            private.close()
-        arena_identical = outcomes == arena_reference
-        identical = identical and arena_identical
-        arena_timings[f"pooled_spawn_cold_{label}_seconds"] = seconds
-    backend_timings.update(arena_timings)
-    arena_delta = (
-        arena_timings["pooled_spawn_cold_no_arena_seconds"]
-        - arena_timings["pooled_spawn_cold_arena_seconds"]
-    )
+    finally:
+        private.close()
+    arena_identical = arena_outcomes == arena_reference
+    identical = identical and arena_identical
+    backend_timings["pooled_spawn_cold_arena_seconds"] = arena_s
     print(
-        f"pooled spawn : {arena_timings['pooled_spawn_cold_arena_seconds']:.3f} s "
-        f"cold with arena, "
-        f"{arena_timings['pooled_spawn_cold_no_arena_seconds']:.3f} s without "
-        f"({arena_delta:+.3f} s saved)"
+        f"pooled spawn : {arena_s:.3f} s cold with arena   "
+        f"bit-identical: {arena_identical}"
     )
 
     # Phase: DES spot-check replays (the worst-case tail), in-process vs

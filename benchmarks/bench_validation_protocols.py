@@ -11,32 +11,29 @@ protocol's own claim and against the fundamental bounds.
 import pytest
 
 from repro.analysis import gap_for_protocol
-from repro.protocols import Diffcodes, Disco, Role, Searchlight, UConnect
+from repro.campaign.golden import (
+    OMEGA,
+    SLOT,
+    zoo_instance,
+    ZOO_CONFIGS,
+    zoo_offsets,
+)
+from repro.protocols import Role
 from repro.simulation import sweep_offsets
 
-OMEGA = 32
-SLOT = 2_000
 ZOO = [
-    ("Disco", Disco(5, 7, slot_length=SLOT, omega=OMEGA)),
-    ("U-Connect", UConnect(7, slot_length=SLOT, omega=OMEGA)),
-    ("Searchlight-S", Searchlight(8, slot_length=SLOT, omega=OMEGA)),
-    ("Diffcodes", Diffcodes(3, slot_length=SLOT, omega=OMEGA)),
+    (display, zoo_instance(class_name, params))
+    for display, class_name, params in ZOO_CONFIGS
 ]
 
 
 def measure(protocol, n_offsets=256, sweep=sweep_offsets):
-    device_e = protocol.device(Role.E)
-    device_f = protocol.device(Role.F)
-    period = int(device_e.beacons.period)
     guarantee = int(protocol.predicted_worst_case_latency())
-    step = max(1, period // n_offsets)
-    offsets = [
-        off
-        for off in range(0, period, step)
-        if 2 * OMEGA <= off % SLOT <= SLOT - 2 * OMEGA
-    ]
     return sweep(
-        device_e, device_f, offsets, horizon=guarantee * 3
+        protocol.device(Role.E),
+        protocol.device(Role.F),
+        zoo_offsets(protocol, n_offsets, slot_filter=True),
+        horizon=guarantee * 3,
     )
 
 

@@ -11,21 +11,11 @@ the range-entry slack of Definition 3.4) with zero failures.
 
 import pytest
 
+from repro.campaign.golden import OMEGA, UNI_CONFIGS as CONFIGS
 from repro.core.bounds import unidirectional_bound
 from repro.core.optimal import synthesize_unidirectional
 from repro.core.sequences import NDProtocol
 from repro.simulation import critical_offsets, sweep_offsets
-
-OMEGA = 32
-CONFIGS = [
-    # (window, k, stride)
-    (320, 10, 11),
-    (100, 7, 8),
-    (64, 5, 7),
-    (500, 4, 9),
-    (64, 16, 33),
-    (200, 20, 21),
-]
 
 
 def validate(window, k, stride, sweep=sweep_offsets):

@@ -45,30 +45,9 @@ same ``DiscoveryOutcome`` sequence in the same order for every protocol
 pair, reception model and turnaround guard.  Backends that cannot
 vectorize a batch (non-integer schedules, disabled pattern caches,
 oversized values) silently delegate to the ``python`` reference rather
-than approximate.
-
-The incremental cross-offset fast path
---------------------------------------
-
-Sweep batches are almost always arithmetic progressions of offsets (the
-shape every uniform sweep and the grid scheduler emit), and successive
-beacon candidates shift every offset's decode position by the *same*
-delta.  :mod:`repro.backends.incremental` exploits this: compute the
-first evaluated candidate's decode positions once, then advance each
-``(residue, segment-index)`` pair by the shared stride delta,
-re-resolving only the windows whose segment index changed -- amortized
-O(changed windows) per offset instead of O(log pattern) per candidate.
-The ``numpy`` kernel uses it as an internal fast path, gated on these
-preconditions (any miss falls back to the plain batch kernel, never to
-approximation):
-
-* the offset batch is an arithmetic progression of at least
-  ``incremental.MIN_LANES`` offsets with non-zero stride;
-* the receiver's listening pattern is precomputed and non-empty;
-* every beacon duration fits within the pattern hyperperiod.
-
-``NumpyBackend(use_incremental=False)`` is the benching escape hatch
-that forces the plain batch formulation.
+than approximate.  The ``numpy`` kernel has one sweep formulation:
+every offset batch, strided or scattered, runs the same batched
+``searchsorted`` discovery.
 
 The ``enumerate_critical_offsets`` operation (PR 5)
 ---------------------------------------------------

@@ -46,7 +46,6 @@ from .base import (
     SweepBackend,
     SweepParams,
 )
-from .incremental import arithmetic_stride, first_discovery_incremental
 
 __all__ = ["NumpyBackend"]
 
@@ -92,16 +91,12 @@ class NumpyBackend(SweepBackend):
 
     name = "numpy"
 
-    def __init__(self, use_incremental: bool = True) -> None:
+    def __init__(self) -> None:
         if _np.np is None:
             raise BackendUnavailable(
                 "NumPy is not importable; install the [fast] extra or "
                 "select backend='python'"
             )
-        # Escape hatch for benching the incremental strided-sweep engine
-        # (:mod:`repro.backends.incremental`) against the plain batch
-        # kernel; both are bit-identical to the reference.
-        self.use_incremental = use_incremental
 
     @classmethod
     def available(cls) -> bool:
@@ -135,40 +130,18 @@ class NumpyBackend(SweepBackend):
             )
         offset_vec = np.asarray(offsets, dtype=np.int64)
         zero_vec = np.zeros(len(offsets), dtype=np.int64)
-        # Arithmetic-progression batches (every uniform sweep chunk)
-        # qualify for the incremental engine; it may still decline a
-        # direction (preconditions) and fall back to the batch kernel.
-        incremental = (
-            self.use_incremental and arithmetic_stride(offset_vec) is not None
-        )
         e_by_f = None
         if protocol_e.beacons is not None and protocol_f.reception is not None:
-            vec = None
-            if incremental:
-                vec = first_discovery_incremental(
-                    protocol_e, cache_f, zero_vec, offset_vec,
-                    params.horizon, params.model,
-                )
-            if vec is None:
-                vec = self._first_discovery_batch(
-                    protocol_e, cache_f, zero_vec, offset_vec,
-                    params.horizon, params.model,
-                )
-            e_by_f = vec.tolist()
+            e_by_f = self._first_discovery_batch(
+                protocol_e, cache_f, zero_vec, offset_vec,
+                params.horizon, params.model,
+            ).tolist()
         f_by_e = None
         if protocol_f.beacons is not None and protocol_e.reception is not None:
-            vec = None
-            if incremental:
-                vec = first_discovery_incremental(
-                    protocol_f, cache_e, offset_vec, zero_vec,
-                    params.horizon, params.model,
-                )
-            if vec is None:
-                vec = self._first_discovery_batch(
-                    protocol_f, cache_e, offset_vec, zero_vec,
-                    params.horizon, params.model,
-                )
-            f_by_e = vec.tolist()
+            f_by_e = self._first_discovery_batch(
+                protocol_f, cache_e, offset_vec, zero_vec,
+                params.horizon, params.model,
+            ).tolist()
         outcomes = []
         for k, offset in enumerate(offsets):
             a = e_by_f[k] if e_by_f is not None else -1

@@ -139,18 +139,12 @@ class PooledBackend(SweepBackend):
         inner: str | None = None,
         jobs: int | None = None,
         mp_context: str | None = None,
-        use_arena: bool = True,
     ) -> None:
         from .base import default_backend_name
 
         self.inner = inner or default_backend_name()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.mp_context = mp_context or _default_mp_context()
-        #: Pin a pool-lifetime shared-memory pattern arena (module
-        #: docstring); ``False`` keeps the PR-3 rebuild-per-worker
-        #: behaviour -- results are bit-identical either way, the flag
-        #: exists for the cold-start benchmark comparison.
-        self.use_arena = use_arena
         self._executor: ProcessPoolExecutor | None = None
         self._arena = None
         self._session_refs = 0
@@ -186,7 +180,7 @@ class PooledBackend(SweepBackend):
     @property
     def arena(self):
         """The pool's :class:`repro.parallel.shm.PatternArena` (or
-        ``None`` before the first sharded sweep / when disabled)."""
+        ``None`` before the first sharded sweep)."""
         return self._arena
 
     def _arena_handles(self, params: SweepParams) -> tuple:
@@ -198,8 +192,6 @@ class PooledBackend(SweepBackend):
         does not hold yet into a new pool-lifetime segment, and returns
         the handles covering this pair for the chunk submissions.
         """
-        if not self.use_arena:
-            return ()
         from ..parallel.cache import get_listening_cache, protocol_fingerprint
         from ..parallel.shm import PatternArena
 

@@ -10,9 +10,10 @@ ABL-SLOT-analytic table is closed-form and needs no sweeps) from store
 payloads plus recomputed closed-form columns, **byte-identically** to
 the files under ``results/``:
 
-* the sweeps reuse the exact benchmark recipes (same offsets, horizons
-  and reception model), and the store round-trips payload numbers
-  through JSON losslessly (ints stay ints, floats repr-round-trip);
+* the sweeps use the benchmark recipes, which live here and which the
+  benchmarks import (same offsets, horizons and reception model), and
+  the store round-trips payload numbers through JSON losslessly (ints
+  stay ints, floats repr-round-trip);
 * rows go through the same :func:`repro.analysis.write_csv`.
 
 A second run of the same campaign against a warm store executes zero
@@ -31,6 +32,9 @@ __all__ = [
     "golden_rows",
     "regenerate_golden_csvs",
     "GOLDEN_CAMPAIGN_PATH",
+    "slot_analytic_rows",
+    "zoo_instance",
+    "zoo_offsets",
 ]
 
 #: The checked-in serialized form of :func:`build_golden_campaign`.
@@ -41,7 +45,11 @@ GOLDEN_CAMPAIGN_PATH = (
 OMEGA = 32
 SLOT = 2_000
 
-#: (window, k, stride) budgets of benchmarks/bench_validation_unidirectional.py
+# The table recipes below are the single copy: the benchmarks behind
+# each table (bench_validation_unidirectional, bench_validation_protocols,
+# bench_ablation_slot_length) import them from here.
+
+#: (window, k, stride) budgets of the VAL-UNI table.
 UNI_CONFIGS = [
     (320, 10, 11),
     (100, 7, 8),
@@ -51,7 +59,7 @@ UNI_CONFIGS = [
     (200, 20, 21),
 ]
 
-#: (display name, zoo class, constructor params) of bench_validation_protocols.py
+#: (display name, zoo class, constructor params) of the VAL-PROT table.
 ZOO_CONFIGS = [
     ("Disco", "Disco", {"prime1": 5, "prime2": 7}),
     ("U-Connect", "UConnect", {"prime": 7}),
@@ -59,20 +67,21 @@ ZOO_CONFIGS = [
     ("Diffcodes", "Diffcodes", {"q": 3}),
 ]
 
-#: Slot lengths of benchmarks/bench_ablation_slot_length.py (empirical half).
+#: Slot lengths of the ABL-SLOT empirical half (I = 3, 5, 10, 40 omega).
 SIM_SLOTS = [96, 160, 320, 1_280]
 
 #: I/omega ratios of the analytic half (no sweeps -- closed form).
 RATIOS = [2, 3, 4, 8, 16, 64, 256]
 
 
-def _zoo_instance(class_name: str, params: dict):
+def zoo_instance(class_name: str, params: dict):
+    """One VAL-PROT protocol at the table's slot length and omega."""
     from .. import protocols as zoo
 
     return getattr(zoo, class_name)(**params, slot_length=SLOT, omega=OMEGA)
 
 
-def _zoo_offsets(instance, n_offsets: int, slot_filter: bool) -> list[int]:
+def zoo_offsets(instance, n_offsets: int, slot_filter: bool) -> list[int]:
     """The benchmark offset grids: uniform over one advertiser period,
     optionally excluding the slot-aligned deadlock measure."""
     from ..protocols import Role
@@ -84,6 +93,21 @@ def _zoo_offsets(instance, n_offsets: int, slot_filter: bool) -> list[int]:
         return list(offsets)
     return [
         off for off in offsets if 2 * OMEGA <= off % SLOT <= SLOT - 2 * OMEGA
+    ]
+
+
+def slot_analytic_rows() -> list[list]:
+    """The closed-form ABL-SLOT table: success fraction and latency
+    penalty per I/omega ratio."""
+    from ..core.slotted_bounds import slot_length_analysis
+
+    return [
+        [
+            r,
+            slot_length_analysis(float(r)).overlap_success_fraction,
+            slot_length_analysis(float(r)).latency_penalty,
+        ]
+        for r in RATIOS
     ]
 
 
@@ -112,7 +136,7 @@ def build_golden_campaign() -> Campaign:
             },
         })
     for display, class_name, params in ZOO_CONFIGS:
-        instance = _zoo_instance(class_name, params)
+        instance = zoo_instance(class_name, params)
         runs.append({
             "verb": "sweep",
             "label": f"val-prot:{display}",
@@ -122,7 +146,7 @@ def build_golden_campaign() -> Campaign:
                     "protocol": class_name,
                     "params": dict(params, slot_length=SLOT, omega=OMEGA),
                 },
-                "offsets": _zoo_offsets(instance, 256, slot_filter=True),
+                "offsets": zoo_offsets(instance, 256, slot_filter=True),
                 "horizon": int(instance.predicted_worst_case_latency()) * 3,
             },
         })
@@ -143,7 +167,7 @@ def build_golden_campaign() -> Campaign:
                         "omega": OMEGA,
                     },
                 },
-                "offsets": _zoo_offsets(instance, 400, slot_filter=False),
+                "offsets": zoo_offsets(instance, 400, slot_filter=False),
                 "horizon": int(instance.predicted_worst_case_latency() * 3),
             },
         })
@@ -191,7 +215,6 @@ def golden_rows(store, campaign: Campaign | None = None) -> dict:
     from ..analysis import gap_for_protocol
     from ..core.bounds import unidirectional_bound
     from ..core.optimal import synthesize_unidirectional
-    from ..core.slotted_bounds import slot_length_analysis
     from ..protocols import Role
 
     campaign = campaign or build_golden_campaign()
@@ -215,7 +238,7 @@ def golden_rows(store, campaign: Campaign | None = None) -> dict:
 
     prot_rows = []
     for display, class_name, params in ZOO_CONFIGS:
-        instance = _zoo_instance(class_name, params)
+        instance = zoo_instance(class_name, params)
         payload = payloads[f"val-prot:{display}"]
         claim = instance.predicted_worst_case_latency()
         full_latency = (
@@ -234,14 +257,7 @@ def golden_rows(store, campaign: Campaign | None = None) -> dict:
             gap.ratio_constrained,
         ])
 
-    analytic_rows = [
-        [
-            r,
-            slot_length_analysis(float(r)).overlap_success_fraction,
-            slot_length_analysis(float(r)).latency_penalty,
-        ]
-        for r in RATIOS
-    ]
+    analytic_rows = slot_analytic_rows()
 
     empirical_rows = []
     for slot in SIM_SLOTS:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .campaign import Campaign
-from .golden import _zoo_instance, _zoo_offsets, OMEGA, SLOT, ZOO_CONFIGS
+from .golden import OMEGA, SLOT, zoo_instance, ZOO_CONFIGS, zoo_offsets
 
 __all__ = [
     "build_val_prot_campaign",
@@ -46,7 +46,7 @@ def build_val_prot_campaign() -> Campaign:
     golden campaign's ``val-prot`` entries (same fingerprints)."""
     runs = []
     for display, class_name, params in ZOO_CONFIGS:
-        instance = _zoo_instance(class_name, params)
+        instance = zoo_instance(class_name, params)
         runs.append({
             "verb": "sweep",
             "label": f"val-prot:{display}",
@@ -56,7 +56,7 @@ def build_val_prot_campaign() -> Campaign:
                     "protocol": class_name,
                     "params": dict(params, slot_length=SLOT, omega=OMEGA),
                 },
-                "offsets": _zoo_offsets(instance, 256, slot_filter=True),
+                "offsets": zoo_offsets(instance, 256, slot_filter=True),
                 "horizon": int(instance.predicted_worst_case_latency()) * 3,
             },
         })
@@ -103,7 +103,7 @@ def val_prot_rows(store, campaign: Campaign | None = None):
                 f"{store.fingerprint(entry.verb, entry.spec)}); run the "
                 f"val-prot (or golden) campaign first"
             )
-        instance = _zoo_instance(class_name, params)
+        instance = zoo_instance(class_name, params)
         claim = instance.predicted_worst_case_latency()
         full_latency = (
             worst_one_way + instance.device(Role.E).beacons.max_gap

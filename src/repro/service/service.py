@@ -164,9 +164,6 @@ class SweepService:
         self._sessions: list[Session] = []
         self._sessions_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        #: Job ids in the order compute actually started (test hook for
-        #: priority ordering; append is atomic under the GIL).
-        self.execution_order: list[str] = []
         self._stats = {
             "submitted": 0,
             "hits": 0,
@@ -555,7 +552,6 @@ class SweepService:
         session = self._thread_session()
         with self._counter_lock:
             self._stats["computed"] += 1
-        self.execution_order.append(job.id)
         try:
             if job.verb == "grid":
                 return self._compute_grid(job, session)

@@ -4,9 +4,9 @@ Registry semantics (names, auto-detection, unavailability errors), the
 NumPy import-guard shim (including a simulated NumPy-less environment,
 so every fallback path is exercised on machines that do have the
 extra), kernel fallback behaviour on non-vectorizable inputs, the exact
-arithmetic of every kernel instance, the incremental strided-sweep engine and its gates, the
-``ListeningCache.pattern_arrays()`` accessor, the cost-model calibration
-helpers, and CLI threading of ``--backend``.
+arithmetic of every kernel instance, the ``ListeningCache.pattern_arrays()``
+accessor, the cost-model calibration helpers, and CLI threading of
+``--backend``.
 """
 
 import math
@@ -175,16 +175,32 @@ _NEEDS_NUMPY = pytest.mark.skipif(
     not have_numpy(), reason="NumPy extra not installed"
 )
 
-#: Every selectable kernel instance, the numpy kernel with and without
-#: its incremental strided-sweep engine.
+
+class _SmallBatchNumpy(NumpyBackend):
+    """The numpy kernel fed a sweep as several short batches, the way
+    pool workers receive their chunks: an offset's outcome must not
+    depend on the other offsets in its batch."""
+
+    BATCH = 7
+
+    def evaluate_offsets_batch(self, params, offsets):
+        offsets = list(offsets)
+        outcomes = []
+        for start in range(0, len(offsets), self.BATCH):
+            outcomes.extend(
+                super().evaluate_offsets_batch(
+                    params, offsets[start:start + self.BATCH]
+                )
+            )
+        return outcomes
+
+
+#: Every selectable kernel instance, the numpy kernel both on whole
+#: batches and on short chunks of them.
 KERNELS = [
     pytest.param(PythonBackend, id="python"),
     pytest.param(NumpyBackend, id="numpy", marks=_NEEDS_NUMPY),
-    pytest.param(
-        lambda: NumpyBackend(use_incremental=False),
-        id="numpy-batch",
-        marks=_NEEDS_NUMPY,
-    ),
+    pytest.param(_SmallBatchNumpy, id="numpy-batch", marks=_NEEDS_NUMPY),
 ]
 
 
@@ -207,26 +223,36 @@ class TestKernelContract:
         assert kernel.evaluate_offsets_batch(params, offsets) == serial
 
     def test_bit_identical_all_models(self, make_kernel):
+        """Strided batches, one of them starting at negative offsets."""
         protocol, offsets, horizon = _small_pair()
-        for model in ReceptionModel:
-            self._check(
-                make_kernel(), protocol, protocol, offsets, horizon,
-                model=model,
-            )
+        for batch in (offsets, list(range(-4_000, 40_000, 1_111))):
+            for model in ReceptionModel:
+                self._check(
+                    make_kernel(), protocol, protocol, batch, horizon,
+                    model=model,
+                )
 
     def test_boot_threshold_split_with_turnaround(self, make_kernel):
         """Below-threshold candidates run the exact scalar scan; the
-        rest start at each offset's boot-safe instance."""
+        rest start at each offset's boot-safe instance.  The dense
+        stride-13 batch under turnaround 7 crosses the boot threshold."""
         protocol, offsets, horizon = _small_pair()
-        self._check(
-            make_kernel(), protocol, protocol, offsets, horizon,
-            turnaround=9,
-        )
+        for batch, turnaround in (
+            (offsets, 9),
+            (list(range(0, 9_000, 13)), 7),
+        ):
+            self._check(
+                make_kernel(), protocol, protocol, batch, horizon,
+                turnaround=turnaround,
+            )
 
     def test_negative_and_scattered_offsets(self, make_kernel):
         protocol, _, horizon = _small_pair()
-        offsets = [-7919, -13, 0, 4, 991, 65537, 3, 3]
-        self._check(make_kernel(), protocol, protocol, offsets, horizon)
+        for offsets in (
+            [-7919, -13, 0, 4, 991, 65537, 3, 3],
+            [0, 17, 4, 9_001, 23, 1 << 40, 55, 55, -3],
+        ):
+            self._check(make_kernel(), protocol, protocol, offsets, horizon)
 
     def test_non_vectorizable_delegates_to_reference(self, make_kernel):
         adv = NDProtocol(
@@ -240,19 +266,31 @@ class TestKernelContract:
         self._check(make_kernel(), adv, scan, list(range(0, 600, 7)), 4_000)
 
     def test_oversized_duration_stays_exact(self, make_kernel):
-        """A beacon longer than the receiver's hyperperiod: kernels that
-        cannot vectorize it must fall back and stay exact."""
+        """A beacon longer than the receiver's hyperperiod, both two-way
+        and against a listen-only receiver: kernels that cannot
+        vectorize it must fall back and stay exact."""
+        beacons = BeaconSchedule.uniform(1, 5_000, 700)
         adv = NDProtocol(
-            beacons=BeaconSchedule.uniform(1, 5_000, 700),
+            beacons=beacons,
             reception=ReceptionSchedule.single_window(25, 600),
         )
         scan = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 150, 3),
             reception=ReceptionSchedule.single_window(40, 350),
         )
-        assert adv.beacons.beacons[0].duration > scan.reception.period
+        assert beacons.beacons[0].duration > scan.reception.period
         self._check(
             make_kernel(), adv, scan, list(range(0, 600, 11)), 20_000
+        )
+        one_way_adv = NDProtocol(beacons=beacons, reception=None)
+        listener = NDProtocol(
+            beacons=None,
+            reception=ReceptionSchedule.single_window(25, 600),
+        )
+        assert beacons.beacons[0].duration > listener.reception.period
+        self._check(
+            make_kernel(), one_way_adv, listener,
+            list(range(0, 16 * 37, 37)), 20_000,
         )
 
     def test_enumeration_bit_identical_with_guard_parity(self, make_kernel):
@@ -278,63 +316,68 @@ class TestKernelContract:
         assert str(kernel_err.value) == str(ref_err.value)
 
 
+def _refuse_delegation(self, params, offsets):
+    raise AssertionError("batch delegated to the python kernel")
+
+
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
 class TestIncrementalEngine:
-    """The incremental strided-sweep formulation and its gates."""
+    """Batch shapes a strided-sweep engine once special-cased (the class
+    keeps that engine's name).  The numpy kernel now has one
+    formulation: each of these batches runs through the vectorized
+    batch kernel itself -- no opt-out flag, no wholesale hand-off to the
+    python kernel -- and matches the uncached reference."""
 
-    def test_arithmetic_stride_detection(self):
-        import numpy as np
+    def _check_batch_kernel(self, monkeypatch, protocol_e, protocol_f,
+                            offsets, horizon, model=ReceptionModel.POINT,
+                            turnaround=0):
+        serial = evaluate_offsets(
+            protocol_e, protocol_f, offsets, horizon,
+            model=model, turnaround=turnaround,
+        )
+        params = SweepParams(
+            protocol_e, protocol_f, horizon, model, turnaround
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                PythonBackend, "evaluate_offsets_batch", _refuse_delegation
+            )
+            got = NumpyBackend().evaluate_offsets_batch(params, offsets)
+        assert got == serial, (model, turnaround)
 
-        from repro.backends.incremental import arithmetic_stride, MIN_LANES
+    def test_escape_hatch_and_bit_identity(self, monkeypatch):
+        """No constructor flag selects another formulation; a strided
+        batch with negative offsets and the same offsets out of order
+        are exact under every model."""
+        import inspect
 
-        vec = lambda xs: np.asarray(xs, dtype=np.int64)
-        ap = [5 + 3 * i for i in range(MIN_LANES)]
-        assert arithmetic_stride(vec(ap)) == 3
-        negative = [100 - 7 * i for i in range(MIN_LANES)]
-        assert arithmetic_stride(vec(negative)) == -7
-        assert arithmetic_stride(vec(ap[:-1])) is None  # too short
-        assert arithmetic_stride(vec([2] * MIN_LANES)) is None  # zero
-        broken = list(ap)
-        broken[-1] += 1
-        assert arithmetic_stride(vec(broken)) is None  # not an AP
-
-    def test_escape_hatch_and_bit_identity(self):
-        """use_incremental=False forces the plain batch kernel; both
-        formulations are bit-identical to the reference on strided
-        batches under every model."""
+        assert not inspect.signature(NumpyBackend).parameters
+        assert list(inspect.signature(PooledBackend).parameters) == [
+            "inner", "jobs", "mp_context",
+        ]
         protocol, _, horizon = _small_pair()
         offsets = list(range(-4_000, 40_000, 1_111))
-        for model in ReceptionModel:
-            serial = evaluate_offsets(
-                protocol, protocol, offsets, horizon, model=model
-            )
-            params = SweepParams(protocol, protocol, horizon, model)
-            for use_incremental in (True, False):
-                backend = NumpyBackend(use_incremental=use_incremental)
-                assert backend.evaluate_offsets_batch(
-                    params, offsets
-                ) == serial, (model, use_incremental)
+        for batch in (offsets, offsets[1::2] + offsets[::2]):
+            for model in ReceptionModel:
+                self._check_batch_kernel(
+                    monkeypatch, protocol, protocol, batch, horizon,
+                    model=model,
+                )
 
-    def test_non_progression_batches_take_the_batch_kernel(self):
-        """Scattered offsets miss the AP gate but stay exact."""
+    def test_non_progression_batches_take_the_batch_kernel(
+        self, monkeypatch
+    ):
+        """Scattered offsets, duplicates and ``1 << 40`` included."""
         protocol, _, horizon = _small_pair()
-        offsets = [0, 17, 4, 9_001, 23, 1 << 40, 55, 55, -3]
-        serial = evaluate_offsets(protocol, protocol, offsets, horizon)
-        params = SweepParams(
-            protocol, protocol, horizon, ReceptionModel.POINT
+        self._check_batch_kernel(
+            monkeypatch, protocol, protocol,
+            [0, 17, 4, 9_001, 23, 1 << 40, 55, 55, -3], horizon,
         )
-        assert NumpyBackend().evaluate_offsets_batch(
-            params, offsets
-        ) == serial
 
-    def test_engine_declines_oversized_durations(self):
-        """Durations beyond the receiver hyperperiod fail the engine's
-        precondition (returns None); the kernel output stays exact."""
-        import numpy as np
-
-        from repro.backends.incremental import first_discovery_incremental
-        from repro.parallel import get_listening_cache
-
+    def test_engine_declines_oversized_durations(self, monkeypatch):
+        """A packet longer than the receiver hyperperiod is declined by
+        the vectorized decode and answered per element on the exact
+        scalar path; the batch itself stays in the numpy kernel."""
         adv = NDProtocol(
             beacons=BeaconSchedule.uniform(1, 5_000, 700),
             reception=None,
@@ -343,25 +386,17 @@ class TestIncrementalEngine:
             beacons=None,
             reception=ReceptionSchedule.single_window(25, 600),
         )
-        cache = get_listening_cache(scan, 0)
-        offsets = np.arange(0, 16 * 37, 37, dtype=np.int64)
-        assert first_discovery_incremental(
-            adv, cache, np.zeros(16, dtype=np.int64), offsets,
-            20_000, ReceptionModel.POINT,
-        ) is None
+        assert adv.beacons.beacons[0].duration > scan.reception.period
+        self._check_batch_kernel(
+            monkeypatch, adv, scan, list(range(0, 16 * 37, 37)), 20_000
+        )
 
-    def test_turnaround_and_boot_threshold(self):
+    def test_turnaround_and_boot_threshold(self, monkeypatch):
         protocol, _, horizon = _small_pair()
-        offsets = list(range(0, 9_000, 13))
-        serial = evaluate_offsets(
-            protocol, protocol, offsets, horizon, turnaround=7
+        self._check_batch_kernel(
+            monkeypatch, protocol, protocol, list(range(0, 9_000, 13)),
+            horizon, turnaround=7,
         )
-        params = SweepParams(
-            protocol, protocol, horizon, ReceptionModel.POINT, 7
-        )
-        assert NumpyBackend(use_incremental=True).evaluate_offsets_batch(
-            params, offsets
-        ) == serial
 
 
 @pytest.mark.skipif(not have_numpy(), reason="NumPy extra not installed")
