@@ -47,7 +47,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-import repro.service.service as service_module
+import repro.parallel.executor as executor_module
 from repro.api import RunSpec, RuntimeProfile, Session
 from repro.service import RemoteClient, ServiceClient, SweepServer, SweepService
 from repro.store import ResultStore
@@ -217,7 +217,7 @@ async def gate_crash_recovery(service: SweepService) -> dict:
     """A grid whose third scenario call dies with BrokenProcessPool
     must retry, resume from its checkpoint, and match an
     uninterrupted ``Session.grid`` bit-for-bit.  Hard exit gate."""
-    real = service_module._network_one
+    real = executor_module._network_one
     calls = {"n": 0}
 
     def flaky(config, item):
@@ -226,13 +226,13 @@ async def gate_crash_recovery(service: SweepService) -> dict:
             raise BrokenProcessPool("injected pool-child crash")
         return real(config, item)
 
-    service_module._network_one = flaky
+    executor_module._network_one = flaky
     try:
         client = ServiceClient(service)
         job = await client.submit("grid", GRID_SPEC, wait=False)
         result = await job.wait()
     finally:
-        service_module._network_one = real
+        executor_module._network_one = real
 
     with Session(RuntimeProfile()) as session:
         direct = session.grid(RunSpec.from_dict(GRID_SPEC))

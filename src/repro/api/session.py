@@ -47,12 +47,35 @@ from __future__ import annotations
 import math
 import time
 from pathlib import PurePath
-from typing import Mapping
+from typing import Mapping, MutableMapping
 
 from .result import network_result_payload, RunResult, sweep_report_payload
 from .spec import build_grid, build_pair, build_scenario, RunSpec, RuntimeProfile
 
 __all__ = ["Session"]
+
+
+def resolve_profile(profile) -> RuntimeProfile:
+    """The runtime profile a session or service runs under: a
+    :class:`RuntimeProfile` as is, a mapping via
+    :meth:`RuntimeProfile.from_dict`, a profile file path via
+    :meth:`RuntimeProfile.load`, ``None`` for
+    :meth:`RuntimeProfile.default`; anything else is a ``TypeError``."""
+    if profile is None:
+        return RuntimeProfile.default()
+    if isinstance(profile, RuntimeProfile):
+        return profile
+    if isinstance(profile, Mapping):
+        return RuntimeProfile.from_dict(profile)
+    if isinstance(profile, (str, PurePath)):
+        # A profile *file* -- the natural companion mistake to
+        # RuntimeProfile.load(); honour it instead of storing a
+        # string that would fail opaquely at first use.
+        return RuntimeProfile.load(profile)
+    raise TypeError(
+        f"profile must be a RuntimeProfile, mapping, path or None, "
+        f"got {profile!r}"
+    )
 
 
 def resolve_store(store, profile: RuntimeProfile):
@@ -109,20 +132,7 @@ class Session:
     def __init__(
         self, profile: RuntimeProfile | None = None, store=None, **overrides
     ):
-        if profile is None:
-            profile = RuntimeProfile.default()
-        elif isinstance(profile, Mapping):
-            profile = RuntimeProfile.from_dict(profile)
-        elif isinstance(profile, (str, PurePath)):
-            # A profile *file* -- the natural companion mistake to
-            # RuntimeProfile.load(); honour it instead of storing a
-            # string that would fail opaquely at first use.
-            profile = RuntimeProfile.load(profile)
-        elif not isinstance(profile, RuntimeProfile):
-            raise TypeError(
-                f"profile must be a RuntimeProfile, mapping, path or None, "
-                f"got {profile!r}"
-            )
+        profile = resolve_profile(profile)
         if overrides:
             profile = profile.replace(**overrides)
         self.profile = profile
@@ -447,7 +457,7 @@ class Session:
             timings={"build": t1 - t0, "run": t2 - t1, "total": t2 - t0},
         )
 
-    def grid(self, spec) -> RunResult:
+    def grid(self, spec, checkpoint: MutableMapping | None = None) -> RunResult:
         """Run a scenario grid through the event-driven simulator.
 
         ``raw``: the list of :class:`repro.simulation.NetworkResult`
@@ -455,10 +465,20 @@ class Session:
         their result payloads, nothing else.  Each scenario's seed
         derives from its grid index, so results are identical for any
         ``jobs`` and any submission order.
-        """
-        return self._through_store("grid", _as_spec(spec), self._grid)
 
-    def _grid(self, spec: RunSpec) -> RunResult:
+        ``checkpoint`` (grid index -> ``NetworkResult``) resumes an
+        interrupted grid: scenarios already in it are not run again,
+        and each finished scenario is stored into it at once
+        (:meth:`ParallelSweep.map_scenarios
+        <repro.parallel.ParallelSweep.map_scenarios>`).  A store hit
+        leaves it untouched.
+        """
+        return self._through_store(
+            "grid", _as_spec(spec),
+            lambda spec: self._grid(spec, checkpoint),
+        )
+
+    def _grid(self, spec: RunSpec, checkpoint=None) -> RunResult:
         t0 = time.perf_counter()
         if spec.grid is None:
             raise ValueError("RunSpec.grid is required for grid")
@@ -471,6 +491,7 @@ class Session:
             reception_model=spec.reception_model(),
             turnaround=spec.turnaround,
             advertising_jitter=spec.advertising_jitter,
+            checkpoint=checkpoint,
         )
         t2 = time.perf_counter()
         payload = {

@@ -187,86 +187,53 @@ def build_golden_campaign() -> Campaign:
 # ----------------------------------------------------------------------
 
 
-def _payloads_by_label(store, campaign: Campaign) -> dict:
-    """label -> stored sweep payload for every campaign entry; raises
-    ``KeyError`` naming the first missing fingerprint (run the campaign
-    first)."""
-    payloads = {}
-    for entry in campaign.expand():
-        fp = store.fingerprint(entry.verb, entry.spec)
-        result = store.get(fp)
-        if result is None:
-            raise KeyError(
-                f"store {store.root} is missing campaign entry "
-                f"{entry.label!r} (fingerprint {fp}); run the golden "
-                f"campaign first"
-            )
-        payloads[entry.label] = result.payload
-    return payloads
-
-
 def golden_rows(store, campaign: Campaign | None = None) -> dict:
     """Rebuild the four golden tables from a populated store.
 
     Returns ``{csv stem: (headers, rows)}`` with sweep-derived columns
-    read from store payloads and closed-form columns recomputed -- the
-    exact row recipes of the three benchmarks.
+    read from store payloads through
+    :func:`~repro.campaign.tables.stored_rows` and closed-form columns
+    recomputed -- the exact row recipes of the three benchmarks (the
+    val-prot table is :func:`~repro.campaign.tables.val_prot_rows`).
+    Raises ``KeyError`` naming the first missing entry.
     """
-    from ..analysis import gap_for_protocol
     from ..core.bounds import unidirectional_bound
     from ..core.optimal import synthesize_unidirectional
-    from ..protocols import Role
+    from .tables import stored_rows, val_prot_rows
 
     campaign = campaign or build_golden_campaign()
-    payloads = _payloads_by_label(store, campaign)
 
     uni_rows = []
-    for window, k, stride in UNI_CONFIGS:
+    for (window, k, stride), (worst_one_way, failures, offsets) in zip(
+        UNI_CONFIGS,
+        stored_rows(
+            store, campaign, "val-uni",
+            ("worst_one_way", "failures", "offsets_evaluated"),
+        ),
+    ):
         design = synthesize_unidirectional(OMEGA, window, k, stride)
-        payload = payloads[f"val-uni:d={window},k={k},n={stride}"]
         bound = unidirectional_bound(OMEGA, design.beta, design.gamma)
-        measured_full = payload["worst_one_way"] + design.beacons.period
+        measured_full = worst_one_way + design.beacons.period
         uni_rows.append([
             f"d={window},k={k},n={stride}",
             design.beta,
             design.gamma,
             bound / 1e6,
             measured_full / 1e6,
-            payload["failures"],
-            payload["offsets_evaluated"],
+            failures,
+            offsets,
         ])
 
-    prot_rows = []
-    for display, class_name, params in ZOO_CONFIGS:
-        instance = zoo_instance(class_name, params)
-        payload = payloads[f"val-prot:{display}"]
-        claim = instance.predicted_worst_case_latency()
-        full_latency = (
-            payload["worst_one_way"]
-            + instance.device(Role.E).beacons.max_gap
+    empirical_rows = [
+        [slot, slot / OMEGA, failures / offsets]
+        for slot, (failures, offsets) in zip(
+            SIM_SLOTS,
+            stored_rows(
+                store, campaign, "abl-slot",
+                ("failures", "offsets_evaluated"),
+            ),
         )
-        gap = gap_for_protocol(
-            instance, omega=OMEGA, measured_latency=full_latency
-        )
-        prot_rows.append([
-            display,
-            instance.duty_cycle(),
-            claim / 1e3,
-            payload["worst_one_way"] / 1e3,
-            payload["failures"],
-            gap.ratio_constrained,
-        ])
-
-    analytic_rows = slot_analytic_rows()
-
-    empirical_rows = []
-    for slot in SIM_SLOTS:
-        payload = payloads[f"abl-slot:{slot}"]
-        empirical_rows.append([
-            slot,
-            slot / OMEGA,
-            payload["failures"] / payload["offsets_evaluated"],
-        ])
+    ]
 
     return {
         "val-uni": (
@@ -276,16 +243,10 @@ def golden_rows(store, campaign: Campaign | None = None) -> dict:
             ],
             uni_rows,
         ),
-        "val-prot": (
-            [
-                "protocol", "eta", "claimed worst [ms]", "measured worst [ms]",
-                "failures", "x util-bound",
-            ],
-            prot_rows,
-        ),
+        "val-prot": val_prot_rows(store, campaign),
         "abl-slot-analytic": (
             ["I/omega", "success fraction", "latency penalty"],
-            analytic_rows,
+            slot_analytic_rows(),
         ),
         "abl-slot-empirical": (
             ["slot [us]", "I/omega", "failure fraction"],

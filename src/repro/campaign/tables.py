@@ -1,14 +1,15 @@
 """Store-fed benchmark tables: campaign definitions rendered through
 :func:`repro.analysis.rows_from_store`.
 
-First slice of the "store-aware analysis surface" ROADMAP item: the
-``val-prot`` table (the protocol-zoo validation of
-``benchmarks/bench_validation_protocols.py``) as its own checked-in
-campaign (``campaigns/val-prot.json``) whose sweep-derived columns are
-read straight from store payloads via the generic
-:func:`~repro.analysis.rows_from_store` path -- dotted payload columns,
-no bespoke payload plumbing -- while the closed-form columns (duty
-cycle, claimed worst case, utilization-bound gap) are recomputed.
+:func:`stored_rows` is the one store reader behind every pinned table
+(the golden ones of :func:`~repro.campaign.golden.golden_rows`
+included): dotted payload columns of a campaign's entries through the
+generic :func:`~repro.analysis.rows_from_store` path, no bespoke
+payload plumbing.  The ``val-prot`` table (the protocol-zoo validation
+of ``benchmarks/bench_validation_protocols.py``) also has its own
+checked-in campaign (``campaigns/val-prot.json``); its closed-form
+columns (duty cycle, claimed worst case, utilization-bound gap) are
+recomputed.
 
 The four runs are **spec-identical** to the golden campaign's
 ``val-prot`` entries, so they share fingerprints: a store populated by
@@ -71,38 +72,49 @@ def build_val_prot_campaign() -> Campaign:
     )
 
 
-def val_prot_rows(store, campaign: Campaign | None = None):
-    """``(headers, rows)`` of the val-prot table from a populated store.
+def stored_rows(store, campaign: Campaign, table: str, columns) -> list[list]:
+    """``columns`` (dotted payload paths) of every ``campaign`` entry
+    labelled ``"<table>:..."``, in expansion order, read through
+    :func:`repro.analysis.rows_from_store`.  Raises ``KeyError`` naming
+    the first entry missing from the store (run the campaign first)."""
+    from ..analysis import rows_from_store
 
-    Sweep-derived columns come through
-    :func:`repro.analysis.rows_from_store` (``worst_one_way``,
-    ``failures`` as dotted payload paths); duty cycle, the claimed
-    worst case and the utilization-bound gap ratio are closed-form.
-    Raises ``KeyError`` naming the first missing entry, like
-    :func:`~repro.campaign.golden.golden_rows`.
-    """
-    from ..analysis import gap_for_protocol, rows_from_store
-    from ..protocols import Role
-
-    campaign = campaign or build_val_prot_campaign()
-    entries = campaign.expand()
-    stored = rows_from_store(
-        store,
-        [(entry.verb, entry.spec) for entry in entries],
-        STORE_COLUMNS,
+    entries = [
+        entry for entry in campaign.expand()
+        if entry.label.startswith(f"{table}:")
+    ]
+    rows = rows_from_store(
+        store, [(entry.verb, entry.spec) for entry in entries], columns
     )
-    rows = []
-    for (display, class_name, params), entry, row in zip(
-        ZOO_CONFIGS, entries, stored
-    ):
-        worst_one_way, failures = row
-        if worst_one_way is None:
+    for entry, row in zip(entries, rows):
+        if all(value is None for value in row):
             raise KeyError(
                 f"store {store.root} is missing campaign entry "
                 f"{entry.label!r} (fingerprint "
                 f"{store.fingerprint(entry.verb, entry.spec)}); run the "
-                f"val-prot (or golden) campaign first"
+                f"{campaign.name} campaign first"
             )
+    return rows
+
+
+def val_prot_rows(store, campaign: Campaign | None = None):
+    """``(headers, rows)`` of the val-prot table from a populated store.
+
+    Sweep-derived columns come through :func:`stored_rows`
+    (``worst_one_way``, ``failures`` as dotted payload paths) from the
+    ``val-prot:`` entries of ``campaign`` -- this table's own campaign
+    by default, or the golden one; duty cycle, the claimed worst case
+    and the utilization-bound gap ratio are closed-form.  Raises
+    ``KeyError`` naming the first missing entry.
+    """
+    from ..analysis import gap_for_protocol
+    from ..protocols import Role
+
+    campaign = campaign or build_val_prot_campaign()
+    rows = []
+    for (display, class_name, params), (worst_one_way, failures) in zip(
+        ZOO_CONFIGS, stored_rows(store, campaign, "val-prot", STORE_COLUMNS)
+    ):
         instance = zoo_instance(class_name, params)
         claim = instance.predicted_worst_case_latency()
         full_latency = (

@@ -26,6 +26,14 @@ Either way the results are bit-identical to the serial path:
   :func:`repro.parallel.cache.derive_seed`, never from its submission
   slot, so scheduling is invisible to the RNG.
 
+Grids are resumable: :meth:`ParallelSweep.map_scenarios` takes a
+``checkpoint`` mapping (grid index -> result), skips the indices already
+in it, and stores each scenario into it the moment it finishes --
+in-process, or as its pool future completes.  A caller that retries
+after a crash (a SIGKILLed pool child) re-runs only the missing
+scenarios, and since seeds follow the global index, the resumed grid is
+bit-identical to an uninterrupted one.
+
 Worker payloads are plain protocols/offsets sent through module-level
 functions; nothing closes over simulator state, so everything pickles
 under both fork and spawn start methods.
@@ -34,6 +42,8 @@ under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
+from concurrent.futures import as_completed
+from typing import MutableMapping
 
 from ..core.sequences import NDProtocol
 from ..simulation.analytic import (
@@ -262,6 +272,7 @@ class ParallelSweep:
         reception_model: ReceptionModel = ReceptionModel.POINT,
         turnaround: int = 0,
         advertising_jitter: int = 0,
+        checkpoint: MutableMapping | None = None,
     ) -> list:
         """Run one network simulation per scenario, in input order.
 
@@ -270,19 +281,47 @@ class ParallelSweep:
         scenarios are submitted individually longest-estimated-first
         (idle workers steal from the pool's shared queue) and merged
         back at their grid index.
+
+        ``checkpoint`` (grid index -> ``NetworkResult``) makes a grid
+        resumable: indices already in it are returned as stored and not
+        run again, and every other scenario is stored into it the
+        moment it finishes.  If a scenario raises, every scenario that
+        finished is recorded first; then the exception of the lowest
+        failing index propagates.
         """
         scenarios = list(scenarios)
+        if checkpoint is None:
+            checkpoint = {}
         config = {
             "base_seed": base_seed,
             "reception_model": reception_model,
             "turnaround": turnaround,
             "advertising_jitter": advertising_jitter,
         }
+        pending = [
+            index for index in range(len(scenarios)) if index not in checkpoint
+        ]
         pool = self._pool()
-        if pool is None or len(scenarios) < 2:
-            return [_network_one(config, item) for item in enumerate(scenarios)]
-        futures = {
-            index: pool.submit(_network_one, config, (index, scenarios[index]))
-            for index in plan_longest_first(scenarios)
-        }
-        return [futures[index].result() for index in sorted(futures)]
+        if pool is None or len(pending) < 2:
+            for index in pending:
+                checkpoint[index] = _network_one(
+                    config, (index, scenarios[index])
+                )
+        else:
+            futures = {
+                pool.submit(
+                    _network_one, config, (index, scenarios[index])
+                ): index
+                for index in plan_longest_first(scenarios)
+                if index not in checkpoint
+            }
+            failures = {}
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    checkpoint[index] = future.result()
+                except Exception as exc:
+                    failures[index] = exc
+            if failures:
+                raise failures[min(failures)]
+        return [checkpoint[index] for index in range(len(scenarios))]

@@ -110,9 +110,11 @@ the compute therefore runs exactly once -- the single-flight property
 the load bench asserts as a hard gate.  Specs holding live objects
 have no fingerprint and always compute (and cannot cross the wire at
 all).  Crash-retried jobs re-execute their *incomplete* work only:
-grid jobs resume from their per-scenario checkpoint, and a timed-out
-attempt's late store write is harmless (last-writer-wins under a
-content-addressed key, both writers carrying the same numbers).
+grid jobs run through :meth:`Session.grid <repro.api.Session.grid>`
+over the pool like any session grid, and resume from the per-scenario
+checkpoint it fills; a timed-out attempt's late store write is harmless
+(last-writer-wins under a content-addressed key, both writers carrying
+the same numbers).
 """
 
 from .client import RemoteClient, RemoteError, ServiceClient

@@ -9,9 +9,10 @@ append-only event log that backs the ``stream`` verb, and -- for grid
 jobs -- the per-scenario checkpoint that lets a re-queued grid resume
 instead of restarting.
 
-All mutation happens on the service's event-loop thread (compute
-threads hand events over via ``call_soon_threadsafe``), so the job
-needs no locking of its own.
+All mutation happens on the service's event-loop thread, so the job
+needs no locking of its own.  The one exception is the grid
+:class:`Checkpoint`: the compute thread fills it, and it hands each
+``progress`` event to the loop via ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from __future__ import annotations
 import asyncio
 import copy
 import time
+import weakref
 from typing import Any
 
 from ..api.result import rehydrate_raw, RunResult
 from ..api.spec import RunSpec
 
 __all__ = [
+    "Checkpoint",
     "Job",
     "JobFailed",
     "ServiceClosed",
@@ -68,6 +71,38 @@ class JobFailed(ServiceError):
         self.job = job
 
 
+class Checkpoint(dict):
+    """A grid job's finished scenarios, grid index -> ``NetworkResult``.
+
+    :meth:`Session.grid <repro.api.Session.grid>` stores each scenario
+    here the moment it finishes, on a compute thread; every store
+    schedules the job's ``progress`` event (``{"index", "completed"}``)
+    onto the job's event loop.
+    """
+
+    __slots__ = ("_job",)
+
+    def __init__(self, job: "Job") -> None:
+        super().__init__()
+        # Weak: a strong job -> checkpoint -> job cycle would leave
+        # every retired job to the cyclic garbage collector.
+        self._job = weakref.ref(job)
+
+    def __setitem__(self, index: int, result: Any) -> None:
+        super().__setitem__(index, result)
+        job = self._job()
+        if job is None:
+            return
+        loop = job.future.get_loop()
+        if loop.is_closed():
+            return
+        data = {"index": index, "completed": len(self)}
+        try:
+            loop.call_soon_threadsafe(job.emit, "progress", data)
+        except RuntimeError:  # pragma: no cover - loop torn down mid-job
+            pass
+
+
 class Job:
     """One admitted unit of work (see module docstring)."""
 
@@ -76,7 +111,7 @@ class Job:
         "source", "attempts", "requeues", "coalesced", "error",
         "result", "future", "checkpoint", "events", "created",
         "started", "finished", "created_mono", "started_mono",
-        "finished_mono", "_subscribers",
+        "finished_mono", "_subscribers", "__weakref__",
     )
 
     def __init__(
@@ -106,7 +141,7 @@ class Job:
         self.error: str | None = None
         self.result: RunResult | None = None
         self.future: asyncio.Future = _new_future()
-        self.checkpoint: dict[int, Any] = {}
+        self.checkpoint = Checkpoint(self)
         self.events: list[dict] = []
         #: Wall-clock unix timestamps, for **display only** (they jump
         #: with NTP slews / clock steps).  Every duration derives from

@@ -31,12 +31,13 @@ killing the service):
   permanently -- retrying a deterministic error burns workers for
   nothing.  A worker *task* that dies mid-job has its job re-queued by
   the supervisor and a replacement worker spawned.
-* **Grid checkpointing**: grid jobs run per-scenario (each scenario
-  seeded by :func:`repro.parallel.derive_seed` from its global index,
-  exactly like :meth:`Session.grid <repro.api.Session.grid>`, so the
-  assembled payload is bit-identical) and record every finished
-  scenario in ``job.checkpoint`` -- a re-queued grid resumes from the
-  last completed scenario instead of restarting.
+* **Grid checkpointing**: a grid job is ``session.grid(spec,
+  checkpoint=job.checkpoint)`` -- the same path as any session grid,
+  fanned out over the pool for ``jobs > 1``.  Each finished scenario
+  lands in ``job.checkpoint`` at once (and emits a ``progress``
+  event), so a re-queued grid re-runs only the scenarios it lacks;
+  seeds follow the grid index, so the resumed payload is
+  bit-identical to an uninterrupted one.
 
 A cancelled ``run_in_executor`` thread keeps running to completion
 (stdlib executor semantics); a timed-out attempt's late store write is
@@ -51,15 +52,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import PurePath
 from typing import Mapping
 
-from ..api.result import network_result_payload, RunResult
-from ..api.session import resolve_store, Session
-from ..api.spec import build_grid, RunSpec, RuntimeProfile, SpecError
+from ..api.result import RunResult
+from ..api.session import resolve_profile, resolve_store, Session
+from ..api.spec import RunSpec, RuntimeProfile, SpecError
 from ..backends.pooled import PooledBackend
 from ..campaign.campaign import VERBS
-from ..parallel.executor import _network_one
 from .jobs import (
     DONE,
     FAILED,
@@ -129,14 +128,8 @@ class SweepService:
         max_retries: int = 2,
         retry_backoff: float = 0.05,
     ) -> None:
-        if profile is None:
-            profile = RuntimeProfile.default()
-        elif isinstance(profile, Mapping):
-            profile = RuntimeProfile.from_dict(profile)
-        elif isinstance(profile, (str, PurePath)):
-            profile = RuntimeProfile.load(profile)
-        self.profile = profile
-        self.store = resolve_store(store, profile)
+        self.profile = resolve_profile(profile)
+        self.store = resolve_store(store, self.profile)
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
         self.job_timeout = job_timeout
@@ -150,7 +143,6 @@ class SweepService:
         self._inflight: dict[str, Job] = {}
         #: id -> Job for every job still addressable (bounded history).
         self._jobs: dict[str, Job] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._worker_tasks: dict[int, asyncio.Task] = {}
         self._supervisor: asyncio.Task | None = None
@@ -184,7 +176,6 @@ class SweepService:
         if self._started:
             return self
         self._started = True
-        self._loop = asyncio.get_running_loop()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-svc"
         )
@@ -554,7 +545,7 @@ class SweepService:
             self._stats["computed"] += 1
         try:
             if job.verb == "grid":
-                return self._compute_grid(job, session)
+                return session.grid(job.spec, checkpoint=job.checkpoint)
             return getattr(session, job.verb)(job.spec)
         except RETRYABLE:
             backend = session._backend
@@ -563,99 +554,6 @@ class SweepService:
                 # it so the retry (any thread) lazily boots a fresh one.
                 backend.close(wait=False)
             raise
-
-    def _compute_grid(self, job: Job, session: Session) -> RunResult:
-        """Checkpointed grid compute, payload-identical to
-        :meth:`Session.grid <repro.api.Session.grid>`.
-
-        Scenarios run one at a time -- through the session's pooled
-        backend when it has one (so a pool-child crash is survivable
-        mid-grid), in-thread otherwise -- and every finished scenario
-        lands in ``job.checkpoint`` keyed by its **global index**.
-        Seeds derive from that same global index
-        (:func:`repro.parallel.derive_seed`, the `map_scenarios`
-        contract), so a resumed grid is bit-identical to an
-        uninterrupted one.
-        """
-        t0 = time.perf_counter()
-        store, fingerprint = session.store, job.fingerprint
-        lookup = 0.0
-        if store is not None and fingerprint is not None:
-            t = time.perf_counter()
-            cached = store.get(fingerprint)
-            lookup = time.perf_counter() - t
-            if cached is not None:
-                cached.store_meta = {
-                    "hit": True,
-                    "fingerprint": fingerprint,
-                    "lookup_seconds": lookup,
-                }
-                return cached
-        if job.spec.grid is None:
-            raise ValueError("RunSpec.grid is required for grid")
-        scenarios = build_grid(job.spec.grid)
-        backend = session.backend  # resolves the engine exactly once
-        t1 = time.perf_counter()
-        config = {
-            "base_seed": job.spec.seed,
-            "reception_model": job.spec.reception_model(),
-            "turnaround": job.spec.turnaround,
-            "advertising_jitter": job.spec.advertising_jitter,
-        }
-        pooled = isinstance(backend, PooledBackend) and backend.jobs >= 2
-        results = []
-        for index, scenario in enumerate(scenarios):
-            if index in job.checkpoint:
-                results.append(job.checkpoint[index])
-                continue
-            if pooled:
-                result = backend.submit(
-                    _network_one, config, (index, scenario)
-                ).result()
-            else:
-                result = _network_one(config, (index, scenario))
-            job.checkpoint[index] = result
-            results.append(result)
-            self._emit_threadsafe(
-                job,
-                "progress",
-                {
-                    "scenario": scenario.name,
-                    "completed": len(job.checkpoint),
-                    "total": len(scenarios),
-                },
-            )
-        t2 = time.perf_counter()
-        payload = {
-            "scenarios": [scenario.name for scenario in scenarios],
-            "results": [network_result_payload(result) for result in results],
-        }
-        run = RunResult(
-            verb="grid",
-            spec=job.spec.describe(),
-            profile=session.profile.describe(),
-            backend=backend.name,
-            timings={"build": t1 - t0, "run": t2 - t1, "total": t2 - t0},
-            payload=payload,
-            raw=results,
-        )
-        if store is not None and fingerprint is not None:
-            store.put(fingerprint, run)
-            run.store_meta = {
-                "hit": False,
-                "fingerprint": fingerprint,
-                "lookup_seconds": lookup,
-            }
-        return run
-
-    def _emit_threadsafe(self, job: Job, kind: str, data: dict) -> None:
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(job.emit, kind, data)
-        except RuntimeError:  # pragma: no cover - loop torn down mid-job
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,6 +6,7 @@ cached listening-set decisions, chunked sweeps, grid runs -- must be
 pairs, reception models and turnaround guards.
 """
 
+import copy
 import random
 
 import pytest
@@ -261,6 +262,76 @@ class TestNetworkGrid:
         assert derive_seed(1, 0) != derive_seed(1, 1)
         assert derive_seed(1, 5) == derive_seed(1, 5)
         assert derive_seed(2, 5) != derive_seed(1, 5)
+
+    # -- map_scenarios(checkpoint=): pre-filled indices are returned as
+    # stored and never re-run; finished scenarios are recorded before a
+    # failure propagates.
+
+    @staticmethod
+    def small_grid():
+        return scenario_grid(
+            dense_network, n_devices=[3, 4], eta=[0.05], seed=[0, 1]
+        )
+
+    @staticmethod
+    def misaligned(scenario, field):
+        """A copy of ``scenario`` whose ``field`` no longer matches its
+        device count: running it raises ``ValueError``."""
+        bad = copy.copy(scenario)
+        setattr(bad, field, [0])
+        return bad
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checkpoint_prefilled_index_is_returned_not_rerun(self, jobs):
+        engine = ParallelSweep(jobs=jobs)
+        plain = engine.map_scenarios(self.small_grid(), base_seed=9)
+        stored = plain[1]
+        grid = self.small_grid()
+        # Running index 1 now would raise: it must come from the
+        # checkpoint.
+        grid[1] = self.misaligned(grid[1], "phases")
+        checkpoint = {1: stored}
+        results = engine.map_scenarios(
+            grid, base_seed=9, checkpoint=checkpoint
+        )
+        assert results[1] is stored
+        assert results == plain
+        assert sorted(checkpoint) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checkpoint_is_filled_with_the_plain_results(self, jobs):
+        engine = ParallelSweep(jobs=jobs)
+        checkpoint = {}
+        results = engine.map_scenarios(
+            self.small_grid(), base_seed=9, checkpoint=checkpoint
+        )
+        assert results == engine.map_scenarios(self.small_grid(), base_seed=9)
+        assert [checkpoint[index] for index in range(4)] == results
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_checkpoint_keeps_finished_prefix_on_failure(self, k):
+        grid = self.small_grid()
+        grid[k] = self.misaligned(grid[k], "phases")
+        checkpoint = {}
+        with pytest.raises(ValueError, match="phases"):
+            ParallelSweep(jobs=1).map_scenarios(
+                grid, base_seed=9, checkpoint=checkpoint
+            )
+        assert sorted(checkpoint) == list(range(k))
+
+    def test_pool_failure_records_the_rest_and_raises_lowest_index(self):
+        plain = ParallelSweep(jobs=1).map_scenarios(
+            self.small_grid(), base_seed=9
+        )
+        grid = self.small_grid()
+        grid[1] = self.misaligned(grid[1], "phases")
+        grid[3] = self.misaligned(grid[3], "drift_ppm")
+        checkpoint = {}
+        with pytest.raises(ValueError, match="phases"):
+            ParallelSweep(jobs=2).map_scenarios(
+                grid, base_seed=9, checkpoint=checkpoint
+            )
+        assert checkpoint == {0: plain[0], 2: plain[2]}
 
 
 class TestSpotCheckSelection:

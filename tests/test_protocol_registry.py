@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import RunSpec, SpecError
 from repro.api.spec import build_pair
+from repro.parallel import protocol_fingerprint
 from repro.protocols import (
     build_registered_pair,
     canonical_pair,
@@ -67,6 +68,27 @@ class TestRegistry:
         })
         assert adv.name == "advertiser" and scan.name == "scanner"
         assert base > 0
+
+    @pytest.mark.parametrize("pair", [
+        {"kind": "symmetric"},
+        {"kind": "symmetric-split", "eta": 0.05},
+        {"kind": "asymmetric"},
+        {"kind": "unidirectional", "window": 100, "k": 7},
+        {"kind": "zoo", "protocol": "Disco",
+         "params": {"prime1": 5, "prime2": 7}},
+    ], ids=lambda pair: pair["kind"])
+    def test_builder_and_canonical_defaults_agree(self, pair):
+        # The fingerprint hashes canonical_pair(pair) -- the registry's
+        # defaults -- while build_pair fills its own.  If the two drift,
+        # one fingerprint addresses two experiments.
+        canonical = canonical_pair(pair)
+        assert canonical != pair  # defaults were filled in
+        *sparse, sparse_base = build_pair(pair)
+        *filled, filled_base = build_pair(canonical)
+        assert [protocol_fingerprint(p) for p in sparse] == [
+            protocol_fingerprint(p) for p in filled
+        ]
+        assert sparse_base == filled_base
 
     def test_unknown_kind_lists_registered(self):
         with pytest.raises(SpecError, match="registered kinds"):

@@ -3,13 +3,15 @@ crash recovery with grid checkpointing, and the JSON-lines wire
 protocol."""
 
 import asyncio
+import gc
 import json
 import threading
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro.service.service as service_module
+import repro.parallel.executor as executor_module
 from repro.api import RunSpec, RuntimeProfile, Session, SpecError
 from repro.campaign import Campaign
 from repro.service import (
@@ -187,6 +189,16 @@ class TestDispatch:
 
         run(main())
 
+    def test_bad_profile_rejected_at_construction(self, tmp_path):
+        # The same coercion as Session: a TypeError up front, with or
+        # without a store, never a late AttributeError at first compute.
+        with pytest.raises(TypeError, match="profile must be"):
+            Session(42)
+        with pytest.raises(TypeError, match="profile must be"):
+            SweepService(42)
+        with pytest.raises(TypeError, match="profile must be"):
+            SweepService(42, store=ResultStore(tmp_path / "store"))
+
     def test_unknown_verb_and_bad_spec_rejected(self, tmp_path):
         async def main():
             service, _ = await make_service(tmp_path)
@@ -343,7 +355,7 @@ class TestRecovery:
 
     def test_grid_resumes_from_checkpoint(self, tmp_path, monkeypatch):
         calls = {"n": 0}
-        real = service_module._network_one
+        real = executor_module._network_one
 
         def flaky(config, item):
             calls["n"] += 1
@@ -351,7 +363,7 @@ class TestRecovery:
                 raise BrokenProcessPool("simulated pool-child SIGKILL")
             return real(config, item)
 
-        monkeypatch.setattr(service_module, "_network_one", flaky)
+        monkeypatch.setattr(executor_module, "_network_one", flaky)
 
         async def main():
             service, _ = await make_service(tmp_path, workers=1)
@@ -362,18 +374,65 @@ class TestRecovery:
             return job, result
 
         job, result = run(main())
+        # 4 scenarios: 2 done + 1 crashed on attempt 1, the 2 missing on
+        # attempt 2 -- the checkpointed pair never re-ran.  Read before
+        # the reference run, which goes through the same patched path.
+        assert calls["n"] == 5
         with Session(RuntimeProfile()) as session:
             direct = session.grid(RunSpec.from_dict(GRID_SPEC))
         # Resumed grid is bit-identical to an uninterrupted one.
         assert result.payload == direct.payload
         assert job.attempts == 2
-        # 4 scenarios: 2 done + 1 crashed on attempt 1, the 2 missing on
-        # attempt 2 -- the checkpointed pair never re-ran.
-        assert calls["n"] == 5
         kinds = [event["kind"] for event in job.events]
         assert "retry" in kinds and kinds[-1] == "done"
         progress = [e["data"] for e in job.events if e["kind"] == "progress"]
         assert [p["completed"] for p in progress] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_payload_equals_session_grid(self, tmp_path, jobs, resumed):
+        with Session(RuntimeProfile()) as session:
+            direct = session.grid(RunSpec.from_dict(GRID_SPEC))
+
+        async def main():
+            service = SweepService(
+                RuntimeProfile(jobs=jobs),
+                store=ResultStore(tmp_path / "store"),
+                workers=1,
+            )
+            job = service.submit("grid", GRID_SPEC)
+            if resumed:
+                # What a crashed earlier attempt left behind.
+                job.checkpoint.update({0: direct.raw[0], 2: direct.raw[2]})
+            await service.start()
+            result = await job.wait()
+            await service.stop()
+            return job, result
+
+        job, result = run(main())
+        assert result.payload == direct.payload
+        progress = [e["data"] for e in job.events if e["kind"] == "progress"]
+        expected = [1, 3] if resumed else [0, 1, 2, 3]
+        assert sorted(p["index"] for p in progress) == expected
+
+    def test_job_is_freed_without_the_cycle_collector(self):
+        # The grid checkpoint points back at its job; were that a
+        # strong reference, every retired job (store hits included)
+        # would linger until a full cyclic collection.
+        async def main():
+            job = Job("job-1", "grid", RunSpec.from_dict(GRID_SPEC), None)
+            job.checkpoint[0] = None  # schedules a progress event
+            await asyncio.sleep(0)
+            assert [e["kind"] for e in job.events] == ["progress"]
+            ref = weakref.ref(job)
+            del job
+            return ref
+
+        gc.disable()
+        try:
+            assert run(main())() is None
+        finally:
+            gc.enable()
 
     def test_dead_worker_task_requeues_its_job(self, tmp_path):
         import threading
