@@ -30,9 +30,9 @@ Phases:
 * **critical-offset enumeration** on Disco 101x103 (a ~156k-offset
   critical set), python reference vs the vectorized kernel,
   bit-identity hard-gated.
-* **pool arena cold start** -- one cold sweep through a private
-  spawn-context pool whose workers map the parent's patterns from the
-  shared-memory pattern arena, bit-identity hard-gated.
+* **spawn pool cold start** -- the fixed sweep through a private
+  spawn-context pool: worker boot, each worker's own pattern build and
+  the sweep, bit-identity hard-gated.
 * **DES spot checks** -- in-process vs the persistent pool.
 * **cost fit** -- measured per-scenario grid wall-clock, regressed by
   :func:`repro.parallel.fit_cost_weights` and recorded next to the
@@ -96,7 +96,12 @@ from repro.protocols import (
     Searchlight,
     UConnect,
 )
-from repro.simulation import critical_offsets, ReceptionModel, sweep_offsets
+from repro.simulation import (
+    critical_offsets,
+    ReceptionModel,
+    summarize_outcomes,
+    sweep_offsets,
+)
 from repro.simulation.runner import (
     _run_scenario,
     _select_spot_check_offsets,
@@ -429,42 +434,27 @@ def main(argv: list[str] | None = None) -> int:
             f"python   bit-identical: {enum_identical}"
         )
 
-    # Phase: pool cold start under spawn (the start method whose workers
-    # would otherwise rebuild every pattern from scratch -- fork gets the
-    # parent registry for free).  The workload is a heavy-pattern pair
-    # (PeriodicInterval 997x10007: ~2 s of exact segment derivation per
-    # cold build) with the parent registry prewarmed, matching a real
-    # session: the parent holds the pattern and each spawn worker maps
-    # the parent's copy from the pool's pattern arena.  A private pool,
+    # Phase: pool cold start under spawn, the start method whose workers
+    # inherit nothing: each one boots an interpreter and builds the
+    # pattern in its own registry on its first chunk.  A private pool,
     # so the run reuses no earlier workers; one cold sweep.
-    arena_proto = PeriodicInterval(997, 10_007, 100, omega=32,
-                                   bidirectional=True)
-    arena_e, arena_f = arena_proto.device(Role.E), arena_proto.device(Role.F)
-    arena_offsets = [i * 131 for i in range(64)]
-    arena_params = SweepParams(
-        arena_e, arena_f, 1_000_000, ReceptionModel.POINT
-    )
-    for receiver in (arena_e, arena_f):
-        get_listening_cache(receiver)  # prewarm the parent registry
-    arena_reference = ParallelSweep(
-        jobs=1, backend="python"
-    ).evaluate_offsets(arena_e, arena_f, arena_offsets, 1_000_000)
     private = PooledBackend(jobs=args.jobs, mp_context="spawn")
     try:
-        arena_s, arena_outcomes = best_of(
+        spawn_s, spawn_outcomes = best_of(
             1,
             lambda: private.evaluate_offsets_batch(
-                arena_params, arena_offsets
+                SweepParams(protocol, protocol, horizon, ReceptionModel.POINT),
+                offsets,
             ),
         )
     finally:
         private.close()
-    arena_identical = arena_outcomes == arena_reference
-    identical = identical and arena_identical
-    backend_timings["pooled_spawn_cold_arena_seconds"] = arena_s
+    spawn_identical = summarize_outcomes(spawn_outcomes) == reference_report
+    identical = identical and spawn_identical
+    backend_timings["pooled_spawn_cold_seconds"] = spawn_s
     print(
-        f"pooled spawn : {arena_s:.3f} s cold with arena   "
-        f"bit-identical: {arena_identical}"
+        f"pooled spawn : {spawn_s:.3f} s cold   "
+        f"bit-identical: {spawn_identical}"
     )
 
     # Phase: DES spot-check replays (the worst-case tail), in-process vs

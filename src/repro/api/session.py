@@ -25,8 +25,8 @@ A session installs no process-wide state.  The one shared resource it
 holds is the persistent pool: a ``jobs > 1`` session resolves the
 shared pool for its shape on first use and reference-counts it
 (:meth:`PooledBackend.retain`).  Nested sessions sharing one profile
-share one pool, and the pool -- with its shared-memory pattern arena --
-shuts down exactly when the last session holding it exits.  ``close()``
+share one pool, and the pool shuts down exactly when the last session
+holding it exits.  ``close()``
 / ``__exit__`` releases it deterministically, with no reliance on
 ``atexit``.  The listening-cache registry is process-wide memoization
 keyed by schedule content; it bounds itself and never needs a session's
@@ -390,7 +390,7 @@ class Session:
         session's resolved kernel runs the whole pipeline -- critical
         enumeration (``critical_offsets(backend=...)``, vectorized
         under numpy), the sweep, and (for ``jobs > 1``) the
-        spot-check sharding over the arena-warmed persistent pool.
+        spot-check sharding over the persistent pool.
 
         Exact by default.  With ``spec.budget_ms`` set (and
         ``spec.fidelity`` ``"auto"``/``"bounded"``), the adaptive

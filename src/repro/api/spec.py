@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -491,8 +492,20 @@ class RuntimeProfile(_SerializableConfig):
             raise SpecError(f"invalid RuntimeProfile field value: {exc}") from exc
 
     def _validate(self) -> None:
-        if self.jobs is not None and self.jobs < 0:
-            raise SpecError(f"jobs must be non-negative, got {self.jobs}")
+        jobs = self.jobs
+        if jobs is not None:
+            # bool is an int subclass: ``jobs = true`` is a typo, not 1.
+            if isinstance(jobs, bool) or not isinstance(jobs, int):
+                raise TypeError(f"jobs must be an integer, got {jobs!r}")
+            if jobs < 0:
+                raise SpecError(f"jobs must be non-negative, got {jobs}")
+        if self.mp_context is not None:
+            methods = multiprocessing.get_all_start_methods()
+            if self.mp_context not in methods:
+                raise SpecError(
+                    f"unknown mp_context {self.mp_context!r}; expected "
+                    f"one of {methods}"
+                )
 
     # ------------------------------------------------------------------
     def replace(self, **overrides) -> "RuntimeProfile":

@@ -21,9 +21,9 @@ CLI's ``--backend``, ``REPRO_BACKEND``):
   hot path.  Always available; the correctness anchor every other
   backend is pinned bit-identical against by the equivalence zoo.
 * ``"numpy"`` -- the vectorized kernel
-  (:mod:`repro.backends.numpy_kernel`): int64 pattern arrays (the
-  shared-memory wire format), one batched ``np.searchsorted`` per
-  beacon candidate over all unresolved offsets.  Available only when
+  (:mod:`repro.backends.numpy_kernel`): the listening pattern as int64
+  arrays, one batched ``np.searchsorted`` per beacon candidate over all
+  unresolved offsets.  Available only when
   NumPy is importable; requesting it without NumPy raises
   :class:`BackendUnavailable`.  NumPy is an *optional extra*
   (``pip install repro-nd[fast]``), never a hard dependency --

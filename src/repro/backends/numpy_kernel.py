@@ -5,9 +5,9 @@ binary search over the receiver's precomputed listening pattern.  This
 backend runs the *same enumeration* -- beacon instances in
 doubly-infinite order, taus in schedule order, first hit wins -- but
 batches each candidate across **all still-undiscovered offsets at
-once**: one ``np.searchsorted`` over the int64 pattern arrays (already
-the shared-memory wire format) answers thousands of decode decisions
-per candidate.  The working set shrinks as offsets resolve, so total
+once**: one ``np.searchsorted`` over the receiver's int64 pattern
+arrays (:meth:`repro.parallel.cache.ListeningCache.pattern_arrays`)
+answers thousands of decode decisions per candidate.  The working set shrinks as offsets resolve, so total
 work matches the scalar loop while each step runs at C speed.
 
 Bit-identity is by construction, not by approximation:

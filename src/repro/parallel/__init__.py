@@ -22,10 +22,8 @@ faster.
   ``CachedPairEvaluator`` hot loop on top of it lives in
   :mod:`repro.backends.python_loop`).
 * :func:`get_listening_cache` -- the process-wide keyed registry
-  (protocol fingerprint -> pattern) behind every kernel.
-* :mod:`repro.parallel.shm` -- the persistent pool's shared-memory
-  pattern arena, so workers map the parent's int64 pattern arrays
-  instead of copying them.
+  (protocol fingerprint -> pattern) behind every kernel, in the parent
+  and in every pool worker alike.
 * :func:`derive_seed` -- chunking- and scheduling-invariant per-item
   seeding.
 * :data:`~repro.parallel.schedule.COST_WEIGHTS` -- the one pinned
@@ -44,7 +42,7 @@ fingerprint.  :func:`invalidate_listening_caches` exists to reclaim
 memory (or force cold rebuilds in benchmarks), never for correctness;
 the registry additionally self-bounds via LRU eviction.  Forked workers
 inherit the parent registry (safe: entries are immutable); spawned
-workers start empty and are seeded through shared memory.
+workers start empty and build each pattern on their first chunk.
 
 Persistent-pool lifecycle contract
 ----------------------------------
@@ -58,14 +56,9 @@ explicitly via ``PooledBackend.close()`` / ``shutdown_pooled_backends()``,
 with an ``atexit`` backstop) so no interpreter exit leaks worker
 processes.  Persistent workers hold no per-sweep initializer state:
 work arrives fully parameterized and patterns resolve through each
-worker's own keyed registry, which stays warm across sweeps.  The pool
-pins a pool-lifetime shared-memory **pattern arena**
-(:class:`repro.parallel.shm.PatternArena`): the parent publishes each
-pair's registry patterns into append-only int64 segments and every
-sweep chunk carries the covering handles, so even spawn-start workers
-map their patterns zero-copy instead of paying one cold rebuild per
-protocol.  Arena segments are released exactly when the owning pool
-closes.
+worker's own keyed registry, which stays warm across sweeps: a worker
+builds each pattern at most once for the pool's lifetime, and
+fork-start workers begin with whatever the parent had built.
 """
 
 from .cache import (
@@ -83,7 +76,6 @@ from .schedule import (
     fit_cost_weights,
     plan_longest_first,
 )
-from .shm import PatternArena, PatternHandle
 
 __all__ = [
     "COST_WEIGHTS",
@@ -95,8 +87,6 @@ __all__ = [
     "ListeningCache",
     "listening_cache_stats",
     "ParallelSweep",
-    "PatternArena",
-    "PatternHandle",
     "plan_longest_first",
     "protocol_fingerprint",
 ]

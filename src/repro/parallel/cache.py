@@ -62,9 +62,9 @@ size limit).  The invalidation contract:
   per-sweep rebuilds instead of growing without bound.
 * **Fork-safety.**  Worker processes forked mid-session inherit the
   parent's registry; entries are immutable after construction, so the
-  copies stay correct.  Spawned workers start empty and are seeded via
-  :mod:`repro.parallel.shm` shared-memory segments instead (see
-  :func:`register_listening_cache`, the hook the attach path uses).
+  copies stay correct.  Spawned workers start empty and build their own
+  patterns on their first chunk; either way a worker's registry then
+  stays warm for the pool's lifetime.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "derive_seed",
     "protocol_fingerprint",
     "get_listening_cache",
-    "register_listening_cache",
     "invalidate_listening_caches",
     "listening_cache_stats",
 ]
@@ -185,20 +184,15 @@ def get_listening_cache(
     # Build outside the lock: derivation can take seconds, and a losing
     # racer merely registers an equivalent pattern over the winner's.
     cache = ListeningCache(receiver, turnaround, max_segments)
-    register_listening_cache(fingerprint, cache)
+    _register_listening_cache(fingerprint, cache)
     return cache
 
 
-def register_listening_cache(
+def _register_listening_cache(
     fingerprint: str, cache: "ListeningCache"
 ) -> None:
-    """Install a pre-built cache under ``fingerprint`` (evicting LRU
-    entries past the registry cap).
-
-    The shared-memory attach path uses this to seed worker registries
-    with segment-backed patterns; it also replaces any fork-inherited
-    private copy so explicitly-requested shared memory actually wins.
-    """
+    """Install a freshly built cache under ``fingerprint`` (evicting
+    LRU entries past the registry cap)."""
     with _REGISTRY_LOCK:
         _REGISTRY.pop(fingerprint, None)
         _REGISTRY[fingerprint] = cache
@@ -265,40 +259,6 @@ class ListeningCache:
             self._starts = [a - base for a, _ in segments]
             self._ends = [b - base for _, b in segments]
         self._use_memo = len(self._starts) >= _MEMO_MIN_SEGMENTS
-
-    @classmethod
-    def from_pattern(
-        cls,
-        receiver: NDProtocol,
-        turnaround: int,
-        hyper: int,
-        threshold: int,
-        starts,
-        ends,
-    ) -> "ListeningCache":
-        """An enabled cache over an externally owned pattern.
-
-        ``starts``/``ends`` may be any int sequence supporting indexing,
-        ``len`` and :func:`bisect.bisect_right` -- in particular the
-        ``int64`` memoryviews :mod:`repro.parallel.shm` carves out of a
-        shared-memory segment, so workers map the pattern instead of
-        copying it.  The caller guarantees the values equal what
-        ``__init__`` would have computed; decisions are then
-        bit-identical by construction.
-        """
-        cache = cls.__new__(cls)
-        cache.receiver = receiver
-        cache.turnaround = turnaround
-        cache.hyper = hyper
-        cache.threshold = threshold
-        cache._starts = starts
-        cache._ends = ends
-        cache._memo_point = {}
-        cache._memo_span = {}
-        cache._np_pattern = None
-        cache.enabled = True
-        cache._use_memo = len(starts) >= _MEMO_MIN_SEGMENTS
-        return cache
 
     def _analyze(self, max_segments: int) -> bool:
         """Integer-grid + size preconditions for the precomputed path."""
@@ -416,9 +376,8 @@ class ListeningCache:
         (registry LRU eviction, :func:`invalidate_listening_caches`)
         drops them with it.
 
-        Always copies -- also out of the shared-memory memoryviews a
-        :meth:`from_pattern` cache wraps -- because the arrays must
-        outlive any zero-copy segment view a worker releases at exit.
+        Copies the list-backed pattern into the arrays once per cache,
+        so each process (pool workers included) holds its own arrays.
         Requires NumPy; raises ``BackendUnavailable`` without it (only
         vectorizing kernels, which already guard on NumPy, call this).
         """

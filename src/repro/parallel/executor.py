@@ -10,8 +10,8 @@ switch, ``jobs``:
 * ``jobs > 1`` shards everything over the shared persistent
   :class:`repro.backends.pooled.PooledBackend` for that
   ``(kernel, jobs, mp_context)`` shape -- offset sweeps as contiguous
-  chunks (with the pool's shared-memory pattern arena), DES spot checks
-  one submission per offset, grid scenarios one submission per scenario
+  chunks (each worker resolving patterns through its own keyed
+  registry), DES spot checks one submission per offset, grid scenarios one submission per scenario
   in the cost-model-sorted work-stealing order of
   :mod:`repro.parallel.schedule`.
 

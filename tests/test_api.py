@@ -119,6 +119,20 @@ class TestRuntimeProfileSerialization:
     def test_validation(self):
         with pytest.raises(SpecError):
             RuntimeProfile(jobs=-1)
+        # An unknown start method fails when the profile is built, not
+        # at the first pooled sweep -- and also under jobs=1, where no
+        # pool would ever have surfaced it.
+        for jobs in (1, 2):
+            with pytest.raises(SpecError, match="mp_context"):
+                RuntimeProfile(jobs=jobs, mp_context="bogus")
+        with pytest.raises(SpecError, match="mp_context"):
+            RuntimeProfile.from_dict({"mp_context": "bogus"})
+        with pytest.raises(SpecError, match="mp_context"):
+            RuntimeProfile().replace(mp_context="bogus")
+        import multiprocessing
+
+        for method in multiprocessing.get_all_start_methods():
+            assert RuntimeProfile(jobs=2, mp_context=method).mp_context == method
 
     def test_load_toml_and_json(self, tmp_path):
         toml_path = tmp_path / "profile.toml"
@@ -140,6 +154,13 @@ class TestRuntimeProfileSerialization:
     def test_wrong_typed_field_values_raise_spec_error(self):
         with pytest.raises(SpecError, match="field value"):
             RuntimeProfile(jobs="four")
+        # Non-integer worker counts used to construct fine and fail at
+        # the first pooled sweep (floats) or run as 1 (True).
+        for jobs in (1.5, 2.0, True, False):
+            with pytest.raises(SpecError, match="field value"):
+                RuntimeProfile(jobs=jobs)
+        with pytest.raises(SpecError, match="field value"):
+            RuntimeProfile.from_json('{"jobs": 2.0}')
         with pytest.raises(SpecError, match="field value"):
             RunSpec(samples="many")
 

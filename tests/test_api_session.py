@@ -276,10 +276,11 @@ class TestSessionLeaksNothing:
 
 
 class TestPooledPatternArena:
-    """PR-5 satellite: the pool-lifetime shared-memory pattern arena is
-    created with the pool, grows only for new patterns, and never
-    outlives the pool -- not on ``Session.__exit__`` and not on a force
-    ``shutdown_pooled_backends()`` mid-session."""
+    """Pool workers resolve listening patterns through their own keyed
+    registries: the pool is reused across sweeps, never outlives its
+    owner -- not on ``Session.__exit__`` and not on a force
+    ``shutdown_pooled_backends()`` mid-session -- and leaves nothing in
+    /dev/shm behind."""
 
     def setup_method(self):
         shutdown_pooled_backends()
@@ -298,39 +299,27 @@ class TestPooledPatternArena:
         before_shm = self._shm_listing()
         profile = RuntimeProfile(jobs=2)
         with Session(profile) as session:
-            session.sweep(_sweep_spec())
+            first = session.sweep(_sweep_spec()).raw
             backend = session.backend
-            arena = backend.arena
-            assert arena is not None
-            assert arena.segments >= 1
-            first_fingerprints = arena.fingerprints
-            assert first_fingerprints
-            segments_after_first = arena.segments
-            # Same grid again: every pattern is already published, so
-            # the warm path adds nothing -- the arena is reused, not
-            # rebuilt (the cold rebuild the arena exists to remove).
-            session.sweep(_sweep_spec())
-            assert backend.arena is arena
-            assert arena.segments == segments_after_first
-            assert arena.fingerprints == first_fingerprints
-            # A second grid over a *different* pair appends exactly one
-            # new segment with the new patterns; old segments stay.
+            executor = backend.executor()
+            # Same grid again, then a different pair: both run on the
+            # same warm workers, not on a rebooted pool.
+            assert session.sweep(_sweep_spec()).raw == first
             session.sweep(
                 RunSpec(
                     pair={"kind": "symmetric", "eta": 0.08},
                     samples=24, horizon_multiple=2,
                 )
             )
-            assert arena.segments == segments_after_first + 1
-            assert arena.fingerprints > first_fingerprints
+            assert backend.executor() is executor
             pids = _worker_pids(backend)
         # Session exit released the pool's last retain reference: the
-        # arena is gone with the workers and /dev/shm holds nothing new.
-        assert backend.arena is None
+        # workers are gone and /dev/shm holds nothing new.
+        assert not backend.started
         _assert_processes_exit(pids)
         after_shm = self._shm_listing()
         if before_shm is not None:
-            assert not (after_shm - before_shm), "arena segments leaked"
+            assert not (after_shm - before_shm), "shm entries leaked"
 
     def test_force_shutdown_mid_session_releases_arena(self):
         before_shm = self._shm_listing()
@@ -338,41 +327,40 @@ class TestPooledPatternArena:
         with Session(profile) as session:
             expected = session.sweep(_sweep_spec()).raw
             backend = session.backend
-            first_arena = backend.arena
-            assert first_arena is not None
+            first_pids = _worker_pids(backend)
             assert shutdown_pooled_backends() == 1
-            # The force shutdown reclaimed the arena with the pool...
-            assert backend.arena is None
+            # The force shutdown reclaimed the pool...
+            assert not backend.started
+            _assert_processes_exit(first_pids)
             mid_shm = self._shm_listing()
             if before_shm is not None:
                 assert not (mid_shm - before_shm)
             # ...and the session stays usable: the next sweep lazily
-            # boots a fresh pool with a fresh arena, results identical.
+            # boots a fresh pool, results identical.
             again = session.sweep(_sweep_spec())
             assert again.raw == expected
-            assert backend.arena is not None
-            assert backend.arena is not first_arena
+            assert backend.started
         # The force shutdown voided the session's retain token, so (by
         # the PR-4 stale-token contract) the re-booted pool now belongs
         # to the force-shutdown path, not the session exit.
         assert shutdown_pooled_backends() == 1
-        assert backend.arena is None
+        assert not backend.started
         after_shm = self._shm_listing()
         if before_shm is not None:
             assert not (after_shm - before_shm)
 
     def test_arena_results_identical_under_spawn(self):
-        """Spawn-start workers are exactly who the arena serves (no
-        fork inheritance to fall back on): results must match the
-        serial reference bit-for-bit and the arena must be in play."""
+        """Spawn-start workers inherit no parent registry and build
+        every pattern themselves: results must still match the serial
+        reference bit-for-bit."""
         spec = _sweep_spec()
         with Session(RuntimeProfile(backend="python", jobs=1)) as session:
             expected = session.sweep(spec).raw
         profile = RuntimeProfile(jobs=2, mp_context="spawn")
         with Session(profile) as session:
             got = session.sweep(spec)
-            assert session.backend.arena is not None
-            assert session.backend.arena.segments >= 1
+            assert session.backend.mp_context == "spawn"
+            assert session.backend.started
         assert got.raw == expected
 
 

@@ -14,16 +14,15 @@ invariant:
   the uncached fallback) under **all three** reception models, as full
   per-offset outcome lists and as aggregated reports, against the exact
   uncached reference;
-* dedicated cases for the residue-memo and zero-copy shared-memory
-  regimes, which small zoo schedules never reach;
+* dedicated cases for the residue-memo regime and a >= 4096-segment
+  pattern, which small zoo schedules never reach;
 * ``Session.worst_case`` with DES spot checks and ``Session.grid`` with
   drift and advertising jitter, across the same three paths;
 * the plain entry points (``sweep_offsets``, ``verified_worst_case``,
   ``sweep_network_grid``) pinned to the ``jobs=2`` Session verbs;
-* unit tests of the keyed cache registry (hit/miss/LRU/invalidation),
-  the pool's shared-memory pattern arena, and the persistent-pool
-  lifecycle (lazy creation, reuse across sweeps, explicit shutdown, no
-  leaked worker processes or segments).
+* unit tests of the keyed cache registry (hit/miss/LRU/invalidation)
+  and the persistent-pool lifecycle (lazy creation, reuse across
+  sweeps, explicit shutdown, no leaked worker processes or segments).
 """
 
 import os
@@ -45,12 +44,9 @@ from repro.parallel import (
     ListeningCache,
     listening_cache_stats,
     ParallelSweep,
-    PatternArena,
     protocol_fingerprint,
 )
-from repro.parallel import shm
 from repro.parallel.cache import _MEMO_MIN_SEGMENTS, _REGISTRY
-from repro.parallel.shm import attach_pattern_arena, ZERO_COPY_MIN_SEGMENTS
 from repro.protocols import (
     Birthday,
     CorrelatedOneWay,
@@ -73,7 +69,6 @@ from repro.simulation import (
     sweep_offsets,
     verified_worst_case,
 )
-from repro.simulation.analytic import packet_heard
 from repro.workloads import (
     dense_network,
     drifting_pair,
@@ -281,12 +276,13 @@ def _dense_pattern_pair(gap, window_period, window=64):
     "gap,window_period,regime",
     [
         (255, 256, "residue-memo"),  # >= _MEMO_MIN_SEGMENTS segments
-        (2049, 2048, "zero-copy"),  # >= ZERO_COPY_MIN_SEGMENTS segments
+        (2049, 2048, "zero-copy"),  # >= 4096 segments
     ],
 )
 def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
-    """The memo and zero-copy arena branches (unreachable with small
-    zoo schedules) also reproduce the serial path exactly."""
+    """The memo branch and a >= 4096-segment pattern (both unreachable
+    with small zoo schedules) also reproduce the serial path exactly
+    through every engine."""
     protocol_e, protocol_f = _dense_pattern_pair(gap, window_period)
     cache = ListeningCache(protocol_e)
     assert cache.enabled
@@ -294,7 +290,7 @@ def test_large_pattern_regimes_bit_identical(gap, window_period, regime):
         assert cache.pattern_segments >= _MEMO_MIN_SEGMENTS
         assert cache._use_memo
     else:
-        assert cache.pattern_segments >= ZERO_COPY_MIN_SEGMENTS
+        assert cache.pattern_segments >= 4096
     hyper = protocol_e.hyperperiod()
     offsets = list(range(0, hyper, max(1, hyper // 48)))
     horizon = 6 * window_period
@@ -483,73 +479,6 @@ class TestKeyedCacheRegistry:
         assert protocol_fingerprint(protocols[-1], 0) in _REGISTRY
 
 
-class TestPatternArena:
-    """The pool's shared-memory pattern arena, exercised in-process."""
-
-    def teardown_method(self):
-        shm._release_attached()
-        invalidate_listening_caches()
-
-    def test_publish_attach_roundtrip_decisions(self):
-        protocol, _ = ZOO["searchlight"]()
-        fingerprint = protocol_fingerprint(protocol)
-        cache = ListeningCache(protocol)
-        assert cache.enabled
-        with PatternArena() as arena:
-            assert arena.ensure({fingerprint: cache}) == 1
-            handles = arena.handles_for([fingerprint])
-            assert len(handles) == 1
-            assert handles[0].total_words == 2 * cache.pattern_segments
-            invalidate_listening_caches()
-            assert attach_pattern_arena(handles, [(protocol, 0)]) == 1
-            # Idempotent per fingerprint: a second chunk attaches nothing.
-            assert attach_pattern_arena(handles, [(protocol, 0)]) == 0
-            attached = _REGISTRY[fingerprint]
-            assert attached is not cache and attached.enabled
-            for start in (0, 99, 1234, 55555):
-                for model in ReceptionModel:
-                    assert attached.packet_heard(
-                        7, start, start + OMEGA, model
-                    ) == packet_heard(protocol, 7, start, start + OMEGA, model, 0)
-
-    def test_close_unlinks_every_segment(self):
-        from multiprocessing import shared_memory
-
-        protocol, _ = ZOO["disco"]()
-        other, _ = ZOO["nihao"]()
-        arena = PatternArena()
-        arena.ensure({protocol_fingerprint(protocol): ListeningCache(protocol)})
-        arena.ensure({protocol_fingerprint(other): ListeningCache(other)})
-        assert arena.segments == 2
-        names = [
-            handle.shm_name
-            for handle in arena.handles_for(arena.fingerprints)
-        ]
-        arena.close()
-        assert arena.segments == 0
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        arena.close()  # idempotent
-
-    def test_disabled_patterns_publish_nothing(self):
-        adv, scan = _float_pi_pair()
-        cache = ListeningCache(scan)
-        assert not cache.enabled
-        with PatternArena() as arena:
-            assert arena.ensure({protocol_fingerprint(scan): cache}) == 0
-            assert arena.segments == 0
-
-    def test_attach_ignores_unknown_fingerprints(self):
-        protocol, _ = ZOO["disco"]()
-        other, _ = ZOO["nihao"]()
-        fingerprint = protocol_fingerprint(protocol)
-        with PatternArena() as arena:
-            arena.ensure({fingerprint: ListeningCache(protocol)})
-            handles = arena.handles_for([fingerprint])
-            assert attach_pattern_arena(handles, [(other, 0)]) == 0
-
-
 def _worker_pids(backend, count=8):
     """The distinct worker PIDs currently serving the backend's pool."""
     futures = [backend.submit(os.getpid) for _ in range(count)]
@@ -674,7 +603,22 @@ class TestPersistentPoolLifecycle:
 
 def test_session_lifecycle_leaks_nothing():
     """After ``__exit__``: zero leaked worker processes, zero leaked
-    shared-memory segments (the PR-4 acceptance criterion)."""
+    shared-memory segments -- and the runtime does not even load
+    ``multiprocessing.shared_memory``."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.api; "
+         "print('multiprocessing.shared_memory' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.stdout.strip() == "False"
     shm_dir = "/dev/shm"
     can_watch_shm = os.path.isdir(shm_dir)
     before_shm = set(os.listdir(shm_dir)) if can_watch_shm else set()
